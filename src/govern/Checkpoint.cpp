@@ -10,10 +10,10 @@
 #include "ir/Dumper.h"
 #include "ir/Program.h"
 #include "support/AtomicFile.h"
-#include "support/Hashing.h"
+#include "support/CliParse.h"
+#include "support/Frame.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
 #include <stdexcept>
 
@@ -26,10 +26,6 @@ namespace {
                            Msg);
 }
 
-std::string pathStr(const AccessPath &P, const SymbolTable &Syms) {
-  return P.str(Syms);
-}
-
 void printState(std::ostream &OS, const TsAbstractState &S,
                 const Program &Prog, const TypestateSpec &Spec) {
   if (S.isLambda()) {
@@ -40,55 +36,21 @@ void printState(std::ostream &OS, const TsAbstractState &S,
   OS << "s " << S.site() << ' ' << Syms.text(Spec.stateName(S.tstate()))
      << ' ' << S.must().size();
   for (const AccessPath &P : S.must())
-    OS << ' ' << pathStr(P, Syms);
+    OS << ' ' << P.str(Syms);
   OS << ' ' << S.mustNot().size();
   for (const AccessPath &P : S.mustNot())
-    OS << ' ' << pathStr(P, Syms);
+    OS << ' ' << P.str(Syms);
   OS << '\n';
 }
 
-/// Splits one line into whitespace-separated tokens.
-std::vector<std::string> tokenize(const std::string &Line) {
-  std::vector<std::string> Toks;
-  std::istringstream IS(Line);
-  std::string T;
-  while (IS >> T)
-    Toks.push_back(T);
-  return Toks;
-}
-
-uint64_t parseU64(const std::string &T, size_t Line) {
-  try {
-    size_t Pos = 0;
-    uint64_t V = std::stoull(T, &Pos);
-    if (Pos != T.size())
-      fail(Line, "trailing characters in number '" + T + "'");
-    return V;
-  } catch (const std::logic_error &) {
-    fail(Line, "expected a number, got '" + T + "'");
-  }
-}
-
-AccessPath parsePath(const std::string &T, Program &Prog, size_t Line) {
-  // v, v.f, or v.f.g — dotted identifiers.
-  std::vector<std::string> Parts;
-  size_t Start = 0;
-  while (true) {
-    size_t Dot = T.find('.', Start);
-    Parts.push_back(T.substr(Start, Dot - Start));
-    if (Dot == std::string::npos)
-      break;
-    Start = Dot + 1;
-  }
-  if (Parts.empty() || Parts.size() > 3 || Parts[0].empty())
-    fail(Line, "malformed access path '" + T + "'");
-  SymbolTable &Syms = Prog.symbols();
-  Symbol Base = Syms.intern(Parts[0]);
-  if (Parts.size() == 1)
-    return AccessPath(Base);
-  if (Parts.size() == 2)
-    return AccessPath(Base, Syms.intern(Parts[1]));
-  return AccessPath(Base, Syms.intern(Parts[1]), Syms.intern(Parts[2]));
+/// A decimal field no greater than \p Max (strict: digits only).
+uint64_t num(std::string_view T, size_t Line, uint64_t Max = UINT64_MAX) {
+  uint64_t V = 0;
+  if (!cli::parseU64(T, V, Max))
+    fail(Line, "expected a number" +
+                   (Max == UINT64_MAX ? "" : " <= " + std::to_string(Max)) +
+                   ", got '" + std::string(T) + "'");
+  return V;
 }
 
 /// Line-oriented reader over the checkpoint text.
@@ -97,54 +59,43 @@ struct Reader {
   size_t Pos = 0;
   size_t Line = 0;
 
-  /// Next line, '#' comments and blank lines skipped.
-  bool next(std::string &Out) {
-    while (Pos < Text.size()) {
-      size_t End = Text.find('\n', Pos);
-      if (End == std::string_view::npos)
-        End = Text.size();
-      Out.assign(Text.substr(Pos, End - Pos));
-      Pos = End + 1;
-      ++Line;
-      if (!Out.empty() && Out.back() == '\r')
-        Out.pop_back();
-      size_t First = Out.find_first_not_of(" \t");
-      if (First == std::string::npos || Out[First] == '#')
-        continue;
-      return true;
-    }
-    return false;
-  }
-
   /// Next raw line (no skipping) — used inside the verbatim program block.
-  bool nextRaw(std::string &Out) {
+  bool nextRaw(std::string_view &Out) {
     if (Pos >= Text.size())
       return false;
-    size_t End = Text.find('\n', Pos);
-    if (End == std::string_view::npos)
-      End = Text.size();
-    Out.assign(Text.substr(Pos, End - Pos));
+    size_t End = std::min(Text.find('\n', Pos), Text.size());
+    Out = Text.substr(Pos, End - Pos);
     Pos = End + 1;
     ++Line;
     if (!Out.empty() && Out.back() == '\r')
-      Out.pop_back();
+      Out.remove_suffix(1);
     return true;
+  }
+
+  /// Next line, '#' comments and blank lines skipped.
+  bool next(std::string_view &Out) {
+    while (nextRaw(Out)) {
+      size_t First = Out.find_first_not_of(" \t");
+      if (First != std::string_view::npos && Out[First] != '#')
+        return true;
+    }
+    return false;
   }
 };
 
-ProcId procByName(Program &Prog, const std::string &Name, size_t Line) {
+ProcId procByName(Program &Prog, std::string_view Name, size_t Line) {
   ProcId P = Prog.procId(Prog.symbols().intern(Name));
   if (P == InvalidProc)
-    fail(Line, "unknown procedure '" + Name + "'");
+    fail(Line, "unknown procedure '" + std::string(Name) + "'");
   return P;
 }
 
 TState stateByName(const TypestateSpec &Spec, const SymbolTable &Syms,
-                   const std::string &Name, size_t Line) {
+                   std::string_view Name, size_t Line) {
   for (size_t T = 0; T != Spec.numStates(); ++T)
     if (Syms.text(Spec.stateName(static_cast<TState>(T))) == Name)
       return static_cast<TState>(T);
-  fail(Line, "unknown typestate '" + Name + "'");
+  fail(Line, "unknown typestate '" + std::string(Name) + "'");
 }
 
 /// Spec lookup by class name that works on a const Program (no interning).
@@ -232,7 +183,7 @@ std::string swift::checkpointToText(const Program &Prog,
 
 ParsedCheckpoint swift::parseCheckpointText(std::string_view Text) {
   Reader R{Text};
-  std::string L;
+  std::string_view L;
 
   if (!R.next(L) || L != "swift-ckpt v1")
     fail(R.Line, "expected 'swift-ckpt v1' header");
@@ -243,35 +194,37 @@ ParsedCheckpoint swift::parseCheckpointText(std::string_view Text) {
   if (!R.next(L))
     fail(R.Line, "unexpected end of file");
   {
-    std::vector<std::string> T = tokenize(L);
+    std::vector<std::string_view> T = frame::split(L);
     if (T.size() != 2 || T[0] != "tracked")
       fail(R.Line, "expected 'tracked <class>'");
-    C.TrackedClass = T[1];
+    C.TrackedClass = std::string(T[1]);
   }
 
   if (!R.next(L))
     fail(R.Line, "unexpected end of file");
   {
-    std::vector<std::string> T = tokenize(L);
+    std::vector<std::string_view> T = frame::split(L);
     if (T.size() != 11 || T[0] != "config" || T[1] != "k" ||
         T[3] != "theta" || T[5] != "manifest" || T[7] != "async" ||
         T[9] != "threads")
       fail(R.Line, "malformed config line");
-    C.Config.K = T[2] == "td" ? NoBuTrigger : parseU64(T[2], R.Line);
-    C.Config.Theta = parseU64(T[4], R.Line);
-    C.Config.ObservationManifest = parseU64(T[6], R.Line) != 0;
-    C.Config.AsyncBu = parseU64(T[8], R.Line) != 0;
-    C.Config.Threads =
-        static_cast<unsigned>(parseU64(T[10], R.Line));
+    C.Config.K = T[2] == "td" ? NoBuTrigger : num(T[2], R.Line);
+    C.Config.Theta = num(T[4], R.Line);
+    C.Config.ObservationManifest = num(T[6], R.Line, 1) != 0;
+    C.Config.AsyncBu = num(T[8], R.Line, 1) != 0;
+    // The same range swift-analyze --threads accepts.
+    if (!cli::parseUnsigned(T[10], C.Config.Threads, 1, 1024))
+      fail(R.Line, "threads must be in [1, 1024], got '" +
+                       std::string(T[10]) + "'");
   }
 
   if (!R.next(L))
     fail(R.Line, "unexpected end of file");
   {
-    std::vector<std::string> T = tokenize(L);
+    std::vector<std::string_view> T = frame::split(L);
     if (T.size() != 2 || T[0] != "steps")
       fail(R.Line, "expected 'steps <n>'");
-    C.StepsConsumed = parseU64(T[1], R.Line);
+    C.StepsConsumed = num(T[1], R.Line);
   }
 
   if (!R.next(L) || L != "program begin")
@@ -296,26 +249,28 @@ ParsedCheckpoint swift::parseCheckpointText(std::string_view Text) {
   auto expectSection = [&](const char *Name) -> uint64_t {
     if (!R.next(L))
       fail(R.Line, std::string("expected '") + Name + " <n>'");
-    std::vector<std::string> T = tokenize(L);
+    std::vector<std::string_view> T = frame::split(L);
     if (T.size() != 2 || T[0] != Name)
-      fail(R.Line, std::string("expected '") + Name + " <n>', got '" + L +
-                       "'");
-    uint64_t N = parseU64(T[1], R.Line);
+      fail(R.Line, std::string("expected '") + Name + " <n>', got '" +
+                       std::string(L) + "'");
+    uint64_t N = num(T[1], R.Line);
     // Sanity limit before any reserve: every row costs at least two
     // bytes of input, so a count beyond half the remaining text is a
     // mutation — fail fast instead of allocating for it.
     size_t Remaining = Text.size() - std::min(R.Pos, Text.size());
     if (N > Remaining / 2 + 1)
-      fail(R.Line, std::string(Name) + " count " + T[1] +
+      fail(R.Line, std::string(Name) + " count " + std::string(T[1]) +
                        " exceeds the remaining input size");
     return N;
   };
-  auto row = [&](const char *Tag, size_t MinToks) -> std::vector<std::string> {
+  auto row = [&](const char *Tag,
+                 size_t MinToks) -> std::vector<std::string_view> {
     if (!R.next(L))
       fail(R.Line, std::string("unexpected end of '") + Tag + "' row");
-    std::vector<std::string> T = tokenize(L);
+    std::vector<std::string_view> T = frame::split(L);
     if (T.size() < MinToks || T[0] != Tag)
-      fail(R.Line, std::string("malformed '") + Tag + "' row: '" + L + "'");
+      fail(R.Line, std::string("malformed '") + Tag + "' row: '" +
+                       std::string(L) + "'");
     return T;
   };
 
@@ -325,7 +280,7 @@ ParsedCheckpoint swift::parseCheckpointText(std::string_view Text) {
   uint64_t N = expectSection("states");
   S.States.reserve(N);
   for (uint64_t I = 0; I != N; ++I) {
-    std::vector<std::string> T = row("s", 2);
+    std::vector<std::string_view> T = row("s", 2);
     if (T[1] == "L") {
       if (T.size() != 2)
         fail(R.Line, "trailing tokens on Lambda state");
@@ -334,7 +289,7 @@ ParsedCheckpoint swift::parseCheckpointText(std::string_view Text) {
     }
     if (T.size() < 4)
       fail(R.Line, "truncated state row");
-    uint64_t Site = parseU64(T[1], R.Line);
+    uint64_t Site = num(T[1], R.Line);
     if (Site >= Prog.numSites())
       fail(R.Line, "allocation site out of range");
     TState TS = stateByName(*Spec, Prog.symbols(), T[2], R.Line);
@@ -342,12 +297,17 @@ ParsedCheckpoint swift::parseCheckpointText(std::string_view Text) {
     auto readPaths = [&]() -> ApSet {
       if (Idx >= T.size())
         fail(R.Line, "truncated state row");
-      uint64_t Count = parseU64(T[Idx++], R.Line);
+      uint64_t Count = num(T[Idx++], R.Line);
       std::vector<AccessPath> Paths;
       for (uint64_t K = 0; K != Count; ++K) {
         if (Idx >= T.size())
           fail(R.Line, "truncated access-path list");
-        Paths.push_back(parsePath(T[Idx++], Prog, R.Line));
+        std::optional<AccessPath> P =
+            AccessPath::parse(T[Idx], Prog.symbols());
+        if (!P)
+          fail(R.Line, "malformed access path '" + std::string(T[Idx]) + "'");
+        Paths.push_back(*P);
+        ++Idx;
       }
       return ApSet(std::move(Paths));
     };
@@ -373,61 +333,61 @@ ParsedCheckpoint swift::parseCheckpointText(std::string_view Text) {
   N = expectSection("edges");
   S.Edges.reserve(N);
   for (uint64_t I = 0; I != N; ++I) {
-    std::vector<std::string> T = row("e", 5);
+    std::vector<std::string_view> T = row("e", 5);
     ProcId P = procByName(Prog, T[1], R.Line);
-    S.Edges.push_back({P, checkNode(P, parseU64(T[2], R.Line)),
-                       checkStateId(parseU64(T[3], R.Line)),
-                       checkStateId(parseU64(T[4], R.Line))});
+    S.Edges.push_back({P, checkNode(P, num(T[2], R.Line)),
+                       checkStateId(num(T[3], R.Line)),
+                       checkStateId(num(T[4], R.Line))});
   }
 
   N = expectSection("work");
   S.Work.reserve(N);
   for (uint64_t I = 0; I != N; ++I) {
-    std::vector<std::string> T = row("w", 5);
+    std::vector<std::string_view> T = row("w", 5);
     ProcId P = procByName(Prog, T[1], R.Line);
-    S.Work.push_back({P, checkNode(P, parseU64(T[2], R.Line)),
-                      checkStateId(parseU64(T[3], R.Line)),
-                      checkStateId(parseU64(T[4], R.Line))});
+    S.Work.push_back({P, checkNode(P, num(T[2], R.Line)),
+                      checkStateId(num(T[3], R.Line)),
+                      checkStateId(num(T[4], R.Line))});
   }
 
   N = expectSection("summaries");
   S.Summaries.reserve(N);
   for (uint64_t I = 0; I != N; ++I) {
-    std::vector<std::string> T = row("y", 4);
+    std::vector<std::string_view> T = row("y", 4);
     TsTabSnapshot::SummaryRow Row;
     Row.Proc = procByName(Prog, T[1], R.Line);
-    Row.Entry = checkStateId(parseU64(T[2], R.Line));
-    uint64_t NumExits = parseU64(T[3], R.Line);
+    Row.Entry = checkStateId(num(T[2], R.Line));
+    uint64_t NumExits = num(T[3], R.Line);
     // Bound before the arithmetic below: a near-2^64 count would wrap
     // 4 + NumExits and walk T out of bounds.
     if (NumExits > T.size() || T.size() != 4 + NumExits)
       fail(R.Line, "summary exit count mismatch");
     for (uint64_t K = 0; K != NumExits; ++K)
-      Row.Exits.push_back(checkStateId(parseU64(T[4 + K], R.Line)));
+      Row.Exits.push_back(checkStateId(num(T[4 + K], R.Line)));
     S.Summaries.push_back(std::move(Row));
   }
 
   N = expectSection("deps");
   S.Dependents.reserve(N);
   for (uint64_t I = 0; I != N; ++I) {
-    std::vector<std::string> T = row("d", 7);
+    std::vector<std::string_view> T = row("d", 7);
     TsTabSnapshot::DependentRow D;
     D.Callee = procByName(Prog, T[1], R.Line);
-    D.Entry = checkStateId(parseU64(T[2], R.Line));
+    D.Entry = checkStateId(num(T[2], R.Line));
     D.CallerProc = procByName(Prog, T[3], R.Line);
-    D.CallNode = checkNode(D.CallerProc, parseU64(T[4], R.Line));
-    D.CallerEntry = checkStateId(parseU64(T[5], R.Line));
-    D.Frame = checkStateId(parseU64(T[6], R.Line));
+    D.CallNode = checkNode(D.CallerProc, num(T[4], R.Line));
+    D.CallerEntry = checkStateId(num(T[5], R.Line));
+    D.Frame = checkStateId(num(T[6], R.Line));
     S.Dependents.push_back(D);
   }
 
   N = expectSection("incoming");
   S.Incoming.reserve(N);
   for (uint64_t I = 0; I != N; ++I) {
-    std::vector<std::string> T = row("i", 4);
+    std::vector<std::string_view> T = row("i", 4);
     ProcId P = procByName(Prog, T[1], R.Line);
     S.Incoming.push_back(
-        {P, checkStateId(parseU64(T[2], R.Line)), parseU64(T[3], R.Line)});
+        {P, checkStateId(num(T[2], R.Line)), num(T[3], R.Line)});
   }
 
   N = expectSection("evercalled");
@@ -435,168 +395,53 @@ ParsedCheckpoint swift::parseCheckpointText(std::string_view Text) {
   if (N != Prog.numProcs())
     fail(R.Line, "evercalled count does not match procedure count");
   for (uint64_t I = 0; I != N; ++I) {
-    std::vector<std::string> T = row("c", 3);
+    std::vector<std::string_view> T = row("c", 3);
     ProcId P = procByName(Prog, T[1], R.Line);
-    S.EverCalled[P] = parseU64(T[2], R.Line) != 0 ? 1 : 0;
+    S.EverCalled[P] = num(T[2], R.Line, 1) != 0 ? 1 : 0;
   }
 
   N = expectSection("observed");
   S.Observed.reserve(N);
   for (uint64_t I = 0; I != N; ++I) {
-    std::vector<std::string> T = row("o", 4);
+    std::vector<std::string_view> T = row("o", 4);
     ProcId P = procByName(Prog, T[1], R.Line);
-    S.Observed.push_back({P, checkNode(P, parseU64(T[2], R.Line)),
-                          checkStateId(parseU64(T[3], R.Line))});
+    S.Observed.push_back({P, checkNode(P, num(T[2], R.Line)),
+                          checkStateId(num(T[3], R.Line))});
   }
 
   if (R.next(L))
-    fail(R.Line, "trailing content after checkpoint: '" + L + "'");
+    fail(R.Line, "trailing content after checkpoint: '" + std::string(L) +
+                     "'");
   return PC;
 }
 
 //===----------------------------------------------------------------------===//
-// v2 file framing: length header + CRC32 trailer around the v1 payload
+// v2 file framing (support/Frame.h) around the v1 payload
 //===----------------------------------------------------------------------===//
 
-const char *swift::loadErrorKindName(LoadErrorKind K) {
-  switch (K) {
-  case LoadErrorKind::IoError:
-    return "io-error";
-  case LoadErrorKind::Truncated:
-    return "truncated";
-  case LoadErrorKind::Corrupt:
-    return "corrupt";
-  case LoadErrorKind::VersionMismatch:
-    return "version-mismatch";
-  }
-  return "?";
-}
-
 namespace {
-
 constexpr std::string_view MagicV1 = "swift-ckpt v1";
-constexpr std::string_view HeaderV2 = "swift-ckpt v2 ";
-constexpr std::string_view TrailerTag = "crc32 ";
-/// Trailer: "crc32 " + 8 hex digits + '\n'.
-constexpr size_t TrailerSize = TrailerTag.size() + 8 + 1;
-
-[[noreturn]] void loadFail(LoadErrorKind K, const std::string &Msg) {
-  throw CheckpointLoadError(K, "swift-ckpt: " + Msg + " [" +
-                                   loadErrorKindName(K) + "]");
-}
-
-std::string hex8(uint32_t V) {
-  char Buf[9];
-  std::snprintf(Buf, sizeof(Buf), "%08x", V);
-  return Buf;
-}
-
-bool parseHex8(std::string_view T, uint32_t &Out) {
-  if (T.size() != 8)
-    return false;
-  uint32_t V = 0;
-  for (char C : T) {
-    uint32_t D;
-    if (C >= '0' && C <= '9')
-      D = static_cast<uint32_t>(C - '0');
-    else if (C >= 'a' && C <= 'f')
-      D = static_cast<uint32_t>(C - 'a') + 10;
-    else
-      return false;
-    V = (V << 4) | D;
-  }
-  Out = V;
-  return true;
-}
-
+constexpr std::string_view MagicV2 = "swift-ckpt v2 ";
 } // namespace
 
 std::string swift::frameCheckpointV2(std::string_view Payload) {
-  std::string Out;
-  Out.reserve(Payload.size() + 48);
-  Out.append(HeaderV2);
-  Out += std::to_string(Payload.size());
-  Out += '\n';
-  Out.append(Payload);
-  Out.append(TrailerTag);
-  Out += hex8(crc32(Payload.data(), Payload.size()));
-  Out += '\n';
-  return Out;
+  return frame::encode(MagicV2, Payload);
 }
 
 ParsedCheckpoint swift::parseCheckpointFile(std::string_view Text) {
-  if (Text.empty())
-    loadFail(LoadErrorKind::Truncated, "empty checkpoint file");
-
   // Legacy bare v1: the whole file is the payload, no framing to check.
-  if (Text.substr(0, MagicV1.size()) == MagicV1) {
-    try {
-      return parseCheckpointText(Text);
-    } catch (const std::exception &E) {
-      loadFail(LoadErrorKind::Corrupt,
-               std::string("invalid v1 checkpoint: ") + E.what());
-    }
+  bool Legacy = Text.substr(0, MagicV1.size()) == MagicV1;
+  std::string_view Payload = Legacy ? Text : frame::decode(MagicV2, Text);
+  try {
+    return parseCheckpointText(Payload);
+  } catch (const std::exception &E) {
+    // A v2 frame validated but the payload does not parse: a producer
+    // bug or a collision-rate event, not a torn file.
+    throw LoadError(LoadErrorKind::Corrupt, frame::family(MagicV2),
+                    std::string(Legacy ? "invalid v1 checkpoint: "
+                                       : "invalid v2 payload: ") +
+                        E.what());
   }
-
-  if (Text.substr(0, HeaderV2.size()) == HeaderV2) {
-    size_t Eol = Text.find('\n');
-    if (Eol == std::string_view::npos)
-      loadFail(LoadErrorKind::Truncated, "v2 header line is cut short");
-    std::string_view LenText = Text.substr(HeaderV2.size(),
-                                           Eol - HeaderV2.size());
-    uint64_t Len = 0;
-    if (LenText.empty())
-      loadFail(LoadErrorKind::Corrupt, "v2 header has no payload length");
-    for (char C : LenText) {
-      if (C < '0' || C > '9')
-        loadFail(LoadErrorKind::Corrupt,
-                 "malformed v2 payload length '" + std::string(LenText) +
-                     "'");
-      if (Len > UINT64_MAX / 10)
-        loadFail(LoadErrorKind::Corrupt, "v2 payload length out of range");
-      Len = Len * 10 + static_cast<uint64_t>(C - '0');
-    }
-    size_t Body = Eol + 1;
-    if (Len > Text.size() - Body)
-      loadFail(LoadErrorKind::Truncated,
-               "payload truncated: header declares " + std::to_string(Len) +
-                   " bytes, " + std::to_string(Text.size() - Body) +
-                   " present");
-    std::string_view Payload = Text.substr(Body, Len);
-    std::string_view Rest = Text.substr(Body + Len);
-    if (Rest.size() < TrailerSize)
-      loadFail(LoadErrorKind::Truncated, "CRC trailer is missing or cut");
-    if (Rest.size() > TrailerSize)
-      loadFail(LoadErrorKind::Corrupt, "trailing data after CRC trailer");
-    if (Rest.substr(0, TrailerTag.size()) != TrailerTag ||
-        Rest.back() != '\n')
-      loadFail(LoadErrorKind::Corrupt, "malformed CRC trailer");
-    uint32_t Stored = 0;
-    if (!parseHex8(Rest.substr(TrailerTag.size(), 8), Stored))
-      loadFail(LoadErrorKind::Corrupt, "malformed CRC value");
-    uint32_t Computed = crc32(Payload.data(), Payload.size());
-    if (Computed != Stored)
-      loadFail(LoadErrorKind::Corrupt, "CRC mismatch: stored " +
-                                           hex8(Stored) + ", computed " +
-                                           hex8(Computed));
-    try {
-      return parseCheckpointText(Payload);
-    } catch (const std::exception &E) {
-      // The frame validated but the payload does not parse: a producer
-      // bug or a collision-rate event, not a torn file.
-      loadFail(LoadErrorKind::Corrupt,
-               std::string("invalid v2 payload: ") + E.what());
-    }
-  }
-
-  if (Text.substr(0, 10) == "swift-ckpt") {
-    size_t Eol = std::min(Text.find('\n'), Text.size());
-    loadFail(LoadErrorKind::VersionMismatch,
-             "unsupported checkpoint version '" +
-                 std::string(Text.substr(0, std::min<size_t>(Eol, 32))) +
-                 "' (this build reads v1 and v2)");
-  }
-  loadFail(LoadErrorKind::Corrupt, "not a swift-ckpt file");
 }
 
 void swift::saveCheckpointFile(const std::string &Path, const Program &Prog,
@@ -606,13 +451,6 @@ void swift::saveCheckpointFile(const std::string &Path, const Program &Prog,
 }
 
 ParsedCheckpoint swift::loadCheckpointFile(const std::string &Path) {
-  std::string Bytes;
-  try {
-    Bytes = readWholeFile(Path, "ckpt.load");
-  } catch (const std::exception &E) {
-    throw CheckpointLoadError(LoadErrorKind::IoError,
-                              std::string("swift-ckpt: ") + E.what() +
-                                  " [io-error]");
-  }
-  return parseCheckpointFile(Bytes);
+  return parseCheckpointFile(
+      frame::readFile(frame::family(MagicV2), Path, "ckpt.load"));
 }

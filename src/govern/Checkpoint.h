@@ -11,15 +11,15 @@
 /// the round-trip dumper), the run configuration, and the tabulation
 /// snapshot (framework/TabSnapshot.h).
 ///
-/// On disk a checkpoint is "swift-ckpt v2": a header line declaring the
-/// payload byte count, the payload (the v1 text), and a CRC32 trailer —
-/// so a loader can tell a truncated file from a bit-flipped one from a
-/// version it does not speak, each reported as a typed
-/// CheckpointLoadError instead of a bare runtime_error. Bare v1 files
-/// (PR 3) still load. Saving goes through writeFileAtomic: temp file +
-/// fsync + atomic rename, so a crash at any point leaves either the
-/// complete old or the complete new checkpoint, never a torn mix — the
-/// property tools/swift-crashtest proves under injected kills.
+/// On disk a checkpoint is "swift-ckpt v2": the v1 text inside the
+/// whole-file frame of support/Frame.h (magic "swift-ckpt v2 "), so a
+/// load failure is a typed LoadError — Truncated, Corrupt or
+/// VersionMismatch, or IoError when the file cannot be read. Bare v1
+/// files still load. Saving goes through
+/// writeFileAtomic: temp file + fsync + atomic rename, so a crash at any
+/// point leaves either the complete old or the complete new checkpoint,
+/// never a torn mix — the property tools/swift-crashtest proves under
+/// injected kills.
 ///
 /// Name-based where ids could drift, id-based where the dumper guarantees
 /// stability: procedures and typestates are referenced by name, abstract
@@ -39,40 +39,16 @@
 #ifndef SWIFT_GOVERN_CHECKPOINT_H
 #define SWIFT_GOVERN_CHECKPOINT_H
 
+#include "support/Frame.h"
 #include "typestate/Runner.h"
 
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <string_view>
 
 namespace swift {
 
 class Program;
-
-/// Why a checkpoint failed to load. Truncated and Corrupt are only
-/// reliably distinguished for v2 files (v1 has no framing): a cut
-/// anywhere in a v2 file reports Truncated, a flipped bit Corrupt.
-enum class LoadErrorKind {
-  IoError,         ///< open/read failed; message carries errno detail.
-  Truncated,       ///< Shorter than its header/trailer framing declares.
-  Corrupt,         ///< Framing present but CRC or payload invalid.
-  VersionMismatch, ///< swift-ckpt magic with an unsupported version.
-};
-
-const char *loadErrorKindName(LoadErrorKind K);
-
-/// Typed load failure: what() carries the human-readable detail, kind()
-/// lets callers distinguish malformed input from environment trouble.
-class CheckpointLoadError : public std::runtime_error {
-public:
-  CheckpointLoadError(LoadErrorKind Kind, const std::string &Msg)
-      : std::runtime_error(Msg), K(Kind) {}
-  LoadErrorKind kind() const { return K; }
-
-private:
-  LoadErrorKind K;
-};
 
 /// One saved budget-exhausted run: configuration + snapshot. TrackedClass
 /// names the typestate class the run analyzed (checkpoints are per
@@ -101,12 +77,11 @@ struct ParsedCheckpoint {
 /// mutated count fails fast instead of reserving absurd memory.
 ParsedCheckpoint parseCheckpointText(std::string_view Text);
 
-/// Frames v1 payload text as a swift-ckpt v2 file image: header line
-/// with the payload byte count, payload, CRC32 trailer.
+/// Frames v1 payload text as a swift-ckpt v2 file image.
 std::string frameCheckpointV2(std::string_view Payload);
 
-/// Parses a checkpoint *file image*: v2 framed (magic/version/length/CRC
-/// validated) or bare legacy v1. Throws CheckpointLoadError.
+/// Parses a checkpoint *file image*: v2 framed (frame validated) or bare
+/// legacy v1. Throws LoadError.
 ParsedCheckpoint parseCheckpointFile(std::string_view Text);
 
 /// Writes \p C as a v2 file, crash-safely: temp file + fsync + atomic
@@ -117,7 +92,7 @@ void saveCheckpointFile(const std::string &Path, const Program &Prog,
                         const TsCheckpoint &C);
 
 /// Reads and validates a checkpoint file (v2 or legacy v1; failpoints
-/// ckpt.load.*). Throws CheckpointLoadError.
+/// ckpt.load.*). Throws LoadError.
 ParsedCheckpoint loadCheckpointFile(const std::string &Path);
 
 } // namespace swift

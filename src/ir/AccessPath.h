@@ -19,7 +19,9 @@
 
 #include <cassert>
 #include <functional>
+#include <optional>
 #include <string>
+#include <string_view>
 
 namespace swift {
 
@@ -72,6 +74,28 @@ public:
     if (Field2.isValid())
       S += "." + Syms.text(Field2);
     return S;
+  }
+
+  /// Parses the dotted form str() prints ("v", "v.f" or "v.f.g"),
+  /// interning each name into \p Syms. nullopt for an empty name or more
+  /// than two fields; nothing is interned then.
+  static std::optional<AccessPath> parse(std::string_view Text,
+                                         SymbolTable &Syms) {
+    std::string_view Parts[3];
+    size_t N = 0;
+    for (;;) {
+      size_t Dot = Text.find('.');
+      if (N == 3 || Text.empty() || Dot == 0)
+        return std::nullopt;
+      Parts[N++] = Text.substr(0, Dot);
+      if (Dot == std::string_view::npos)
+        break;
+      Text.remove_prefix(Dot + 1);
+    }
+    AccessPath P(Syms.intern(Parts[0]));
+    for (size_t I = 1; I != N; ++I)
+      P = P.extend(Syms.intern(Parts[I]));
+    return P;
   }
 
   friend bool operator==(const AccessPath &A, const AccessPath &B) {

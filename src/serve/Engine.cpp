@@ -151,9 +151,9 @@ ServeEngine::ServeEngine(const FromStore &From, EngineOptions Opts)
     Jrnl = std::make_unique<Journal>(Opt.JournalPath);
   ParsedStore Store = loadStoreFile(From.Path);
   if (!Opt.TrackedClass.empty() && Opt.TrackedClass != Store.TrackedClass)
-    throw StoreError("swift-serve-store: store tracks class '" +
-                     Store.TrackedClass + "', requested '" +
-                     Opt.TrackedClass + "'");
+    throw std::runtime_error("swift-serve-store: store tracks class '" +
+                             Store.TrackedClass + "', requested '" +
+                             Opt.TrackedClass + "'");
   Prog = std::move(Store.Prog);
   Symbol Tracked = resolveTracked(*Prog, Store.TrackedClass);
   TrackedName = Prog->symbols().text(Tracked);
@@ -161,14 +161,8 @@ ServeEngine::ServeEngine(const FromStore &From, EngineOptions Opts)
   Text = programToText(*Prog);
   std::unordered_map<std::string, uint64_t> Hashes = blockHashes(Text);
   PS.resize(Prog->numProcs());
-  std::vector<uint8_t> Seen(Prog->numProcs(), 0);
   for (StoredProc &SP : Store.Procs) {
     ProcId P = Prog->procId(Prog->symbols().intern(SP.Name));
-    if (Seen[P])
-      throw StoreError("swift-serve-store: duplicate record for "
-                       "procedure '" +
-                       SP.Name + "'");
-    Seen[P] = 1;
     PS[P].BodyHash = Hashes.at(SP.Name);
     PS[P].OracleFp = fingerprint(*Ctx, P);
     // Adopt the stored summary only when the stored hash and fingerprint
@@ -346,7 +340,8 @@ EditResult ServeEngine::solveInitial() {
       continue;
     NewPS[P].Valid = true;
     NewPS[P].Deps = PS[P].Deps;
-    NewPS[P].Sum = parseSummaryText(*NewProg, summaryToText(*Prog, PS[P].Sum));
+    NewPS[P].Sum = parseSummaryText(*NewProg, NewCtx->spec().numStates(),
+                                    summaryToText(*Prog, PS[P].Sum));
   }
   // The initial solve is startup, not client traffic: no deadline, no
   // journal record, and it does auto-save (it establishes the baseline
@@ -475,8 +470,8 @@ EditResult ServeEngine::applyEditImpl(const std::string &ProcName,
     NewPS[P].Valid = true;
     NewPS[P].Deps = PS[P].Deps; // ProcIds are stable across an edit.
     try {
-      NewPS[P].Sum =
-          parseSummaryText(*NewProg, summaryToText(*Prog, PS[P].Sum));
+      NewPS[P].Sum = parseSummaryText(*NewProg, NewCtx->spec().numStates(),
+                                      summaryToText(*Prog, PS[P].Sum));
     } catch (const std::exception &E) {
       // A retained summary that fails translation indicates a codec bug,
       // not a bad edit; refuse rather than re-analyze around it.

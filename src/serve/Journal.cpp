@@ -16,11 +16,12 @@
 #include "serve/Journal.h"
 
 #include "support/AtomicFile.h"
+#include "support/CliParse.h"
 #include "support/FailPoint.h"
+#include "support/Frame.h"
 #include "support/Hashing.h"
 
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 
 #include <fcntl.h>
@@ -37,73 +38,28 @@ namespace {
 /// *inside* a record, not just before it.
 constexpr size_t AppendChunk = 256;
 
-constexpr std::string_view TrailerTag = "crc32 ";
-
-std::string hex8(uint32_t V) {
-  char Buf[9];
-  std::snprintf(Buf, sizeof(Buf), "%08x", V);
-  return Buf;
-}
-
 std::string opError(const char *Op, const std::string &Path, int Err) {
   return std::string(Op) + " '" + Path + "': " + std::strerror(Err);
 }
 
-bool parseHex8(std::string_view T, uint32_t &Out) {
-  if (T.size() != 8)
-    return false;
-  uint32_t V = 0;
-  for (char C : T) {
-    uint32_t D;
-    if (C >= '0' && C <= '9')
-      D = static_cast<uint32_t>(C - '0');
-    else if (C >= 'a' && C <= 'f')
-      D = static_cast<uint32_t>(C - 'a') + 10;
-    else
-      return false;
-    V = (V << 4) | D;
-  }
-  Out = V;
-  return true;
-}
-
-/// Parses "edit <namelen> <bodylen>" (no trailing newline). Returns
+/// Parses "edit <namelen> <bodylen>" (no trailing newline); lengths are
+/// capped at \p Max so the record arithmetic cannot overflow. Returns
 /// false on any malformation — which replay treats as a torn tail.
-bool parseRecordHeader(std::string_view Line, size_t &NameLen,
-                       size_t &BodyLen) {
-  constexpr std::string_view Tag = "edit ";
-  if (Line.substr(0, Tag.size()) != Tag)
-    return false;
-  Line.remove_prefix(Tag.size());
-  size_t Sp = Line.find(' ');
-  if (Sp == std::string_view::npos)
-    return false;
-  auto Dec = [](std::string_view V, size_t &Out) {
-    if (V.empty() || V.size() > 12) // sanity cap: no record field is GBs
-      return false;
-    size_t N = 0;
-    for (char C : V) {
-      if (C < '0' || C > '9')
-        return false;
-      N = N * 10 + static_cast<size_t>(C - '0');
-    }
-    Out = N;
-    return true;
-  };
-  return Dec(Line.substr(0, Sp), NameLen) &&
-         Dec(Line.substr(Sp + 1), BodyLen);
+bool parseRecordHeader(std::string_view Line, uint64_t Max, uint64_t &NameLen,
+                       uint64_t &BodyLen) {
+  std::vector<std::string_view> F = frame::split(Line);
+  return F.size() == 3 && F[0] == "edit" &&
+         cli::parseU64(F[1], NameLen, Max) &&
+         cli::parseU64(F[2], BodyLen, Max);
 }
 
 } // namespace
 
 std::string Journal::encodeRecord(const Record &R) {
-  std::string Header = "edit " + std::to_string(R.ProcName.size()) + " " +
-                       std::to_string(R.Body.size()) + "\n";
-  std::string Covered = Header + R.ProcName + R.Body;
-  std::string Out = std::move(Covered);
-  Out.append(TrailerTag);
-  Out += hex8(crc32(Out.data(), Out.size() - TrailerTag.size()));
-  Out += '\n';
+  std::string Out = "edit " + std::to_string(R.ProcName.size()) + " " +
+                    std::to_string(R.Body.size()) + "\n" + R.ProcName +
+                    R.Body;
+  Out += frame::trailer(Out);
   return Out;
 }
 
@@ -162,46 +118,35 @@ std::vector<Journal::Record> Journal::replayAndRepair() const {
       return {}; // no journal yet: nothing to replay
     throw IoError("stat", Path, opError("stat", Path, errno));
   }
-  std::string Bytes = readWholeFile(Path, "journal.replay");
-  if (Bytes.size() < Magic.size() ||
-      std::string_view(Bytes).substr(0, Magic.size()) != Magic)
-    throw JournalLoadError("swift-serve-journal: '" + Path +
-                           "' has no journal magic line; refusing to "
-                           "replay (wrong file?)");
+  std::string Bytes =
+      frame::readFile(frame::family(Magic), Path, "journal.replay");
+  if (std::string_view(Bytes).substr(0, Magic.size()) != Magic)
+    frame::rejectMagic(Magic, Bytes);
 
   std::vector<Record> Out;
   size_t Pos = Magic.size();
   size_t Good = Pos; // end of the last fully validated record
   std::string_view T(Bytes);
-  for (;;) {
-    if (Pos == T.size())
-      break;
+  while (Pos != T.size()) {
     size_t Eol = T.find('\n', Pos);
-    if (Eol == std::string_view::npos)
+    uint64_t NameLen = 0, BodyLen = 0;
+    if (Eol == std::string_view::npos ||
+        !parseRecordHeader(T.substr(Pos, Eol - Pos), T.size(), NameLen,
+                           BodyLen))
       break; // header line torn mid-write
-    size_t NameLen = 0, BodyLen = 0;
-    if (!parseRecordHeader(T.substr(Pos, Eol - Pos), NameLen, BodyLen))
-      break;
     size_t PayloadBegin = Eol + 1;
     size_t TrailerBegin = PayloadBegin + NameLen + BodyLen;
-    size_t RecordEnd = TrailerBegin + TrailerTag.size() + 8 + 1;
-    if (RecordEnd > T.size())
-      break; // payload or trailer torn
-    if (T.substr(TrailerBegin, TrailerTag.size()) != TrailerTag ||
-        T[RecordEnd - 1] != '\n')
-      break;
     uint32_t Stored = 0;
-    if (!parseHex8(T.substr(TrailerBegin + TrailerTag.size(), 8), Stored))
-      break;
-    uint32_t Computed =
-        crc32(T.data() + Pos, TrailerBegin - Pos);
-    if (Computed != Stored)
-      break; // bit rot or a torn rewrite: stop at the last good record
+    if (TrailerBegin + frame::TrailerSize > T.size() ||
+        !frame::parseTrailer(T.substr(TrailerBegin, frame::TrailerSize),
+                             Stored) ||
+        Stored != crc32(T.data() + Pos, TrailerBegin - Pos))
+      break; // torn payload or trailer, or bit rot: stop at the last good
     Record R;
     R.ProcName = std::string(T.substr(PayloadBegin, NameLen));
     R.Body = std::string(T.substr(PayloadBegin + NameLen, BodyLen));
     Out.push_back(std::move(R));
-    Pos = Good = RecordEnd;
+    Pos = Good = TrailerBegin + frame::TrailerSize;
   }
 
   if (Good != Bytes.size()) {

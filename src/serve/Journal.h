@@ -15,20 +15,15 @@
 /// the journal tail reconstructs exactly the accepted-edit prefix the
 /// daemon had acknowledged.
 ///
-/// File layout (one magic line, then records):
-///
-///   swift-serve-journal v1
-///   edit <namelen> <bodylen>\n<name><body>crc32 <hex8>\n
-///   ...
-///
-/// Each record's CRC covers its header line, the procedure name, and the
-/// body — the ckpt-v2 trailer framing of Store.h applied per record, so
-/// a reader can stop at the first record whose frame does not validate.
-/// A torn or corrupt *trailing* record is exactly what a kill mid-append
-/// leaves behind; replay truncates it off and keeps everything before it
-/// (truncate-don't-fail). A file whose magic line is wrong is a
-/// different animal — nothing in it can be trusted — and raises the
-/// typed JournalLoadError instead.
+/// File layout: the magic line "swift-serve-journal v1", then records
+/// "edit <namelen> <bodylen>\n<name><body>" each followed by the
+/// support/Frame.h trailer, whose CRC covers the header line, the name
+/// and the body — so a reader can stop at the first record whose frame
+/// does not validate. A torn or corrupt *trailing* record is exactly what
+/// a kill mid-append leaves behind; replay truncates it off and keeps
+/// everything before it (truncate-don't-fail). A file whose magic line is
+/// wrong is a different animal — nothing in it can be trusted — and
+/// raises a typed LoadError instead.
 ///
 /// Appends go through chunked write + fsync with failpoints
 /// journal.append.open / .write (per chunk) / .flush / .close, which is
@@ -44,22 +39,14 @@
 #ifndef SWIFT_SERVE_JOURNAL_H
 #define SWIFT_SERVE_JOURNAL_H
 
-#include <stdexcept>
+#include "support/Frame.h"
+
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace swift {
 namespace serve {
-
-/// Thrown when the journal file is unusable as a whole (bad magic line):
-/// unlike a torn tail, which replay silently truncates, this means the
-/// path does not hold a journal at all and replaying would be unsound.
-class JournalLoadError : public std::runtime_error {
-public:
-  explicit JournalLoadError(const std::string &What)
-      : std::runtime_error(What) {}
-};
 
 /// The append-only write-ahead log. One instance owns one path; the
 /// engine holds it for the life of the session.
@@ -98,8 +85,8 @@ public:
   /// the file (::truncate to the last valid record boundary) and the
   /// records before it are returned; corruption that is *not* confined
   /// to the tail cannot happen under append-only writes, so any invalid
-  /// frame ends the scan the same way. A wrong magic line throws
-  /// JournalLoadError; truncate/read failures throw IoError. Failpoints:
+  /// frame ends the scan the same way. A wrong magic line or a failed
+  /// read throws LoadError; a failed truncate throws IoError. Failpoints:
   /// journal.replay.open / .read (via readWholeFile) and
   /// journal.replay.truncate.
   std::vector<Record> replayAndRepair() const;

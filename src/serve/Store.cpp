@@ -17,24 +17,18 @@
 
 #include "ir/Dumper.h"
 #include "support/AtomicFile.h"
-#include "support/Hashing.h"
+#include "support/Frame.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <sstream>
 
 using namespace swift;
 using namespace swift::serve;
 
 //===----------------------------------------------------------------------===//
-// Token writer / reader
+// Token writer
 //===----------------------------------------------------------------------===//
 
 namespace {
-
-[[noreturn]] void fail(const std::string &Msg) {
-  throw StoreError("swift-serve-store: " + Msg);
-}
 
 class TokenWriter {
 public:
@@ -57,85 +51,14 @@ private:
   std::string Out;
 };
 
-class TokenReader {
-public:
-  explicit TokenReader(std::string_view Text) : T(Text) {}
-
-  bool atEnd() {
-    skipWs();
-    return Pos == T.size();
-  }
-
-  std::string_view tok() {
-    skipWs();
-    if (Pos == T.size())
-      fail("unexpected end of summary text");
-    size_t Start = Pos;
-    while (Pos < T.size() && !isWs(T[Pos]))
-      ++Pos;
-    return T.substr(Start, Pos - Start);
-  }
-
-  /// Consumes a token and demands it equals \p Want (a grammar keyword).
-  void expect(std::string_view Want) {
-    std::string_view Got = tok();
-    if (Got != Want)
-      fail("expected '" + std::string(Want) + "', got '" + std::string(Got) +
-           "'");
-  }
-
-  uint64_t num() {
-    std::string_view V = tok();
-    uint64_t N = 0;
-    if (V.empty())
-      fail("empty number");
-    for (char C : V) {
-      if (C < '0' || C > '9')
-        fail("malformed number '" + std::string(V) + "'");
-      if (N > UINT64_MAX / 10)
-        fail("number out of range '" + std::string(V) + "'");
-      N = N * 10 + static_cast<uint64_t>(C - '0');
-    }
-    return N;
-  }
-
-  bool flag() {
-    uint64_t N = num();
-    if (N > 1)
-      fail("expected 0 or 1, got " + std::to_string(N));
-    return N != 0;
-  }
-
-private:
-  static bool isWs(char C) {
-    return C == ' ' || C == '\n' || C == '\t' || C == '\r';
-  }
-  void skipWs() {
-    while (Pos < T.size() && isWs(T[Pos]))
-      ++Pos;
-  }
-
-  std::string_view T;
-  size_t Pos = 0;
-};
-
 //===----------------------------------------------------------------------===//
 // Encoders (names, never Symbol ids)
 //===----------------------------------------------------------------------===//
 
-void writePath(TokenWriter &W, const SymbolTable &Syms, const AccessPath &P) {
-  std::string T = Syms.text(P.base());
-  if (P.field1().isValid())
-    T += "." + Syms.text(P.field1());
-  if (P.field2().isValid())
-    T += "." + Syms.text(P.field2());
-  W.tok(T);
-}
-
 void writeApSet(TokenWriter &W, const SymbolTable &Syms, const ApSet &S) {
   W.num(S.size());
   for (const AccessPath &P : S)
-    writePath(W, Syms, P);
+    W.tok(P.str(Syms));
 }
 
 void writeKill(TokenWriter &W, const SymbolTable &Syms, const KillSpec &K) {
@@ -162,7 +85,7 @@ void writePred(TokenWriter &W, const Program &Prog, const TsPred &P) {
   W.tok("ap");
   W.num(P.apConstraints().size());
   for (const TsPred::ApConstraint &C : P.apConstraints()) {
-    writePath(W, Syms, C.Path);
+    W.tok(C.Path.str(Syms));
     W.num(static_cast<uint64_t>(C.InMust));
     W.num(static_cast<uint64_t>(C.InNot));
   }
@@ -178,7 +101,8 @@ void writePred(TokenWriter &W, const Program &Prog, const TsPred &P) {
 void writeState(TokenWriter &W, const SymbolTable &Syms,
                 const TsAbstractState &S) {
   if (S.isLambda())
-    fail("cannot serialize a Lambda alloc output");
+    throw std::logic_error("summary text: cannot serialize a Lambda alloc "
+                           "output");
   W.num(S.site());
   W.num(S.tstate());
   writeApSet(W, Syms, S.must());
@@ -222,26 +146,16 @@ void writeIgnore(TokenWriter &W, const Program &Prog, const char *Key,
 // Decoders (interning into the target program)
 //===----------------------------------------------------------------------===//
 
-AccessPath readPath(TokenReader &R, Program &Prog) {
-  std::string_view T = R.tok();
-  size_t D1 = T.find('.');
-  SymbolTable &Syms = Prog.symbols();
-  if (D1 == std::string_view::npos)
-    return AccessPath(Syms.intern(T));
-  size_t D2 = T.find('.', D1 + 1);
-  if (D1 == 0 || D1 + 1 == T.size())
-    fail("malformed access path '" + std::string(T) + "'");
-  Symbol Base = Syms.intern(T.substr(0, D1));
-  if (D2 == std::string_view::npos)
-    return AccessPath(Base, Syms.intern(T.substr(D1 + 1)));
-  if (D2 + 1 == T.size() || T.find('.', D2 + 1) != std::string_view::npos)
-    fail("malformed access path '" + std::string(T) + "'");
-  return AccessPath(Base, Syms.intern(T.substr(D1 + 1, D2 - D1 - 1)),
-                    Syms.intern(T.substr(D2 + 1)));
+AccessPath readPath(frame::Cursor &R, Program &Prog) {
+  std::string_view T = R.token();
+  std::optional<AccessPath> P = AccessPath::parse(T, Prog.symbols());
+  if (!P)
+    R.fail("malformed access path '" + std::string(T) + "'");
+  return *P;
 }
 
-ApSet readApSet(TokenReader &R, Program &Prog) {
-  uint64_t N = R.num();
+ApSet readApSet(frame::Cursor &R, Program &Prog) {
+  uint64_t N = R.count();
   std::vector<AccessPath> Paths;
   Paths.reserve(N);
   for (uint64_t I = 0; I != N; ++I)
@@ -249,27 +163,27 @@ ApSet readApSet(TokenReader &R, Program &Prog) {
   return ApSet(std::move(Paths));
 }
 
-KillSpec readKill(TokenReader &R, Program &Prog) {
+KillSpec readKill(frame::Cursor &R, Program &Prog) {
   SymbolTable &Syms = Prog.symbols();
   R.expect("kb");
-  uint64_t NB = R.num();
+  uint64_t NB = R.count();
   std::vector<Symbol> Bases;
   for (uint64_t I = 0; I != NB; ++I)
-    Bases.push_back(Syms.intern(R.tok()));
+    Bases.push_back(Syms.intern(R.token()));
   R.expect("kd");
-  uint64_t ND = R.num();
+  uint64_t ND = R.count();
   std::vector<Symbol> Defaults;
   for (uint64_t I = 0; I != ND; ++I)
-    Defaults.push_back(Syms.intern(R.tok()));
+    Defaults.push_back(Syms.intern(R.token()));
   R.expect("kbb");
-  uint64_t NBB = R.num();
+  uint64_t NBB = R.count();
   std::vector<std::pair<Symbol, std::vector<Symbol>>> ByBase;
   for (uint64_t I = 0; I != NBB; ++I) {
-    Symbol Base = Syms.intern(R.tok());
-    uint64_t NF = R.num();
+    Symbol Base = Syms.intern(R.token());
+    uint64_t NF = R.count();
     std::vector<Symbol> Fields;
     for (uint64_t J = 0; J != NF; ++J)
-      Fields.push_back(Syms.intern(R.tok()));
+      Fields.push_back(Syms.intern(R.token()));
     ByBase.emplace_back(Base, std::move(Fields));
   }
   // Replay order matters: defaults first (ByBase is still empty, so
@@ -286,62 +200,69 @@ KillSpec readKill(TokenReader &R, Program &Prog) {
   return K;
 }
 
-TsPred readPred(TokenReader &R, Program &Prog) {
+TsPred readPred(frame::Cursor &R, Program &Prog) {
   TsPred P;
   R.expect("ap");
-  uint64_t NA = R.num();
+  uint64_t NA = R.count();
   for (uint64_t I = 0; I != NA; ++I) {
     AccessPath Path = readPath(R, Prog);
-    uint64_t InMust = R.num(), InNot = R.num();
-    if (InMust > 2 || InNot > 2)
-      fail("three-valued constraint out of range");
+    uint64_t InMust = R.number(2), InNot = R.number(2);
     // Stored predicates are satisfiable by construction, so a failing
     // replay means the text was corrupted, not that the edit is bad.
     if (InMust != 0 &&
         !P.requireMust(Path, InMust == uint64_t(ThreeVal::Yes)))
-      fail("unsatisfiable replayed must constraint");
+      R.fail("unsatisfiable replayed must constraint");
     if (InNot != 0 && !P.requireNot(Path, InNot == uint64_t(ThreeVal::Yes)))
-      fail("unsatisfiable replayed must-not constraint");
+      R.fail("unsatisfiable replayed must-not constraint");
   }
   R.expect("may");
-  uint64_t NM = R.num();
+  uint64_t NM = R.count();
   for (uint64_t I = 0; I != NM; ++I) {
-    std::string_view ProcName = R.tok();
+    std::string_view ProcName = R.token();
     ProcId Proc = Prog.procId(Prog.symbols().intern(ProcName));
     if (Proc == InvalidProc)
-      fail("may-alias constraint names unknown procedure '" +
-           std::string(ProcName) + "'");
-    Symbol Var = Prog.symbols().intern(R.tok());
-    bool Want = R.flag();
+      R.fail("may-alias constraint names unknown procedure '" +
+             std::string(ProcName) + "'");
+    Symbol Var = Prog.symbols().intern(R.token());
+    bool Want = R.number(1) != 0;
     if (!P.requireMay(Proc, Var, Want))
-      fail("unsatisfiable replayed may-alias constraint");
+      R.fail("unsatisfiable replayed may-alias constraint");
   }
   return P;
 }
 
-TsAbstractState readState(TokenReader &R, Program &Prog) {
-  uint64_t Site = R.num();
-  if (Site >= Prog.numSites())
-    fail("allocation site @" + std::to_string(Site) + " out of range");
-  uint64_t T = R.num();
-  ApSet Must = readApSet(R, Prog);
-  ApSet MustNot = readApSet(R, Prog);
-  return TsAbstractState(static_cast<SiteId>(Site), static_cast<TState>(T),
-                         std::move(Must), std::move(MustNot));
+/// A typestate index of the tracked spec (\p NumStates states).
+TState readTState(frame::Cursor &R, size_t NumStates) {
+  return static_cast<TState>(R.number(NumStates - 1));
 }
 
-TsRelation readRel(TokenReader &R, Program &Prog) {
-  std::string_view Kind = R.tok();
+TsAbstractState readState(frame::Cursor &R, Program &Prog, size_t NumStates) {
+  uint64_t Site = R.number();
+  if (Site >= Prog.numSites())
+    R.fail("allocation site @" + std::to_string(Site) + " out of range");
+  TState T = readTState(R, NumStates);
+  ApSet Must = readApSet(R, Prog);
+  ApSet MustNot = readApSet(R, Prog);
+  return TsAbstractState(static_cast<SiteId>(Site), T, std::move(Must),
+                         std::move(MustNot));
+}
+
+TsRelation readRel(frame::Cursor &R, Program &Prog, size_t NumStates) {
+  std::string_view Kind = R.token();
   if (Kind == "A")
-    return TsRelation::makeAlloc(readState(R, Prog));
+    return TsRelation::makeAlloc(readState(R, Prog, NumStates));
   if (Kind != "T")
-    fail("unknown relation kind '" + std::string(Kind) + "'");
+    R.fail("unknown relation kind '" + std::string(Kind) + "'");
   R.expect("iota");
-  uint64_t NI = R.num();
+  // iota maps every state of the tracked spec; rtrans and rcomp index it
+  // (and its entries) without a bounds check.
+  if (R.number() != NumStates)
+    R.fail("iota does not map the spec's " + std::to_string(NumStates) +
+           " states");
   std::vector<TState> Iota;
-  Iota.reserve(NI);
-  for (uint64_t I = 0; I != NI; ++I)
-    Iota.push_back(static_cast<TState>(R.num()));
+  Iota.reserve(NumStates);
+  for (size_t I = 0; I != NumStates; ++I)
+    Iota.push_back(readTState(R, NumStates));
   R.expect("killa");
   KillSpec KillA = readKill(R, Prog);
   R.expect("gena");
@@ -357,14 +278,14 @@ TsRelation readRel(TokenReader &R, Program &Prog) {
                                std::move(GenN), std::move(Phi));
 }
 
-std::vector<TsRelation> readRels(TokenReader &R, Program &Prog,
-                                 const char *Key) {
+std::vector<TsRelation> readRels(frame::Cursor &R, Program &Prog,
+                                 size_t NumStates, const char *Key) {
   R.expect(Key);
-  uint64_t N = R.num();
+  uint64_t N = R.count();
   std::vector<TsRelation> Rels;
   Rels.reserve(N);
   for (uint64_t I = 0; I != N; ++I)
-    Rels.push_back(readRel(R, Prog));
+    Rels.push_back(readRel(R, Prog, NumStates));
   // Relation order follows symbol ids, which shift across programs; the
   // solver's sorted-unique invariant must hold in the *target* program.
   std::sort(Rels.begin(), Rels.end());
@@ -372,12 +293,12 @@ std::vector<TsRelation> readRels(TokenReader &R, Program &Prog,
   return Rels;
 }
 
-TsIgnoreSet readIgnore(TokenReader &R, Program &Prog, const char *Key) {
+TsIgnoreSet readIgnore(frame::Cursor &R, Program &Prog, const char *Key) {
   R.expect(Key);
   TsIgnoreSet S;
-  if (R.flag())
+  if (R.number(1) != 0)
     S.addLambda();
-  uint64_t N = R.num();
+  uint64_t N = R.count();
   for (uint64_t I = 0; I != N; ++I)
     (void)S.addPred(readPred(R, Prog)); // In-order replay; see header.
   return S;
@@ -414,17 +335,21 @@ std::string serve::summaryToText(const Program &Prog, const TsSummary &S) {
   return W.take();
 }
 
-TsSummary serve::parseSummaryText(Program &Prog, std::string_view Text) {
-  TokenReader R(Text);
+TsSummary serve::parseSummaryText(Program &Prog, size_t NumStates,
+                                  std::string_view Text) {
+  frame::Cursor R(Text, "summary text");
+  if (NumStates == 0)
+    R.fail("tracked spec has no states");
   TsSummary S;
-  S.Rels = readRels(R, Prog, "rels");
-  S.ObsRels = readRels(R, Prog, "obsrels");
+  S.Rels = readRels(R, Prog, NumStates, "rels");
+  S.ObsRels = readRels(R, Prog, NumStates, "obsrels");
   S.Sigma = readIgnore(R, Prog, "sigma");
   S.SigmaAll = readIgnore(R, Prog, "sigmaall");
   R.expect("lambdaexit");
-  S.LambdaExit = R.flag();
+  S.LambdaExit = R.number(1) != 0;
+  R.skipSpace();
   if (!R.atEnd())
-    fail("trailing tokens after summary");
+    R.fail("trailing tokens after summary");
   return S;
 }
 
@@ -434,42 +359,9 @@ TsSummary serve::parseSummaryText(Program &Prog, std::string_view Text) {
 
 namespace {
 
-constexpr std::string_view StoreHeader = "swift-serve-store v1 ";
-constexpr std::string_view TrailerTag = "crc32 ";
-constexpr size_t TrailerSize = TrailerTag.size() + 8 + 1;
+constexpr std::string_view StoreMagic = "swift-serve-store v1 ";
 constexpr std::string_view ProgramBegin = "program-begin";
 constexpr std::string_view ProgramEnd = "program-end";
-
-std::string hex8(uint32_t V) {
-  char Buf[9];
-  std::snprintf(Buf, sizeof(Buf), "%08x", V);
-  return Buf;
-}
-
-std::string hex16(uint64_t V) {
-  char Buf[17];
-  std::snprintf(Buf, sizeof(Buf), "%016llx",
-                static_cast<unsigned long long>(V));
-  return Buf;
-}
-
-bool parseHexU(std::string_view T, uint64_t &Out) {
-  if (T.empty() || T.size() > 16)
-    return false;
-  uint64_t V = 0;
-  for (char C : T) {
-    uint64_t D;
-    if (C >= '0' && C <= '9')
-      D = static_cast<uint64_t>(C - '0');
-    else if (C >= 'a' && C <= 'f')
-      D = static_cast<uint64_t>(C - 'a') + 10;
-    else
-      return false;
-    V = (V << 4) | D;
-  }
-  Out = V;
-  return true;
-}
 
 } // namespace
 
@@ -491,9 +383,10 @@ std::string serve::encodeStore(const Program &Prog,
   Payload += '\n';
   Payload += "procs " + std::to_string(Procs.size()) + "\n";
   for (const StoredProc &P : Procs) {
-    Payload += "proc " + P.Name + " hash " + hex16(P.BodyHash) + " fp " +
-               hex16(P.OracleFp) + " valid " + (P.HasSummary ? "1" : "0") +
-               " deps " + std::to_string(P.Deps.size());
+    Payload += "proc " + P.Name + " hash " + frame::hex(P.BodyHash, 16) +
+               " fp " + frame::hex(P.OracleFp, 16) + " valid " +
+               (P.HasSummary ? "1" : "0") + " deps " +
+               std::to_string(P.Deps.size());
     for (const std::string &D : P.Deps)
       Payload += " " + D;
     Payload += '\n';
@@ -503,173 +396,60 @@ std::string serve::encodeStore(const Program &Prog,
       Payload += Sum;
     }
   }
-
-  std::string Out;
-  Out.reserve(Payload.size() + 48);
-  Out.append(StoreHeader);
-  Out += std::to_string(Payload.size());
-  Out += '\n';
-  Out += Payload;
-  Out.append(TrailerTag);
-  Out += hex8(crc32(Payload.data(), Payload.size()));
-  Out += '\n';
-  return Out;
+  return frame::encode(StoreMagic, Payload);
 }
-
-namespace {
-
-/// Line-oriented reader over the (already CRC-validated) payload.
-class LineReader {
-public:
-  explicit LineReader(std::string_view Text) : T(Text) {}
-
-  std::string_view line() {
-    if (Pos >= T.size())
-      fail("unexpected end of store payload");
-    size_t Eol = T.find('\n', Pos);
-    if (Eol == std::string_view::npos)
-      fail("unterminated line in store payload");
-    std::string_view L = T.substr(Pos, Eol - Pos);
-    Pos = Eol + 1;
-    return L;
-  }
-
-  std::string_view bytes(size_t N) {
-    if (N > T.size() - Pos)
-      fail("store payload section truncated");
-    std::string_view B = T.substr(Pos, N);
-    Pos += N;
-    return B;
-  }
-
-  bool atEnd() const { return Pos == T.size(); }
-
-private:
-  std::string_view T;
-  size_t Pos = 0;
-};
-
-uint64_t parseDec(std::string_view V) {
-  uint64_t N = 0;
-  if (V.empty())
-    fail("empty decimal field");
-  for (char C : V) {
-    if (C < '0' || C > '9')
-      fail("malformed decimal field '" + std::string(V) + "'");
-    if (N > UINT64_MAX / 10)
-      fail("decimal field out of range");
-    N = N * 10 + static_cast<uint64_t>(C - '0');
-  }
-  return N;
-}
-
-/// Splits a line into whitespace-separated fields.
-std::vector<std::string_view> fields(std::string_view L) {
-  std::vector<std::string_view> Out;
-  size_t I = 0;
-  while (I < L.size()) {
-    while (I < L.size() && L[I] == ' ')
-      ++I;
-    size_t Start = I;
-    while (I < L.size() && L[I] != ' ')
-      ++I;
-    if (I > Start)
-      Out.push_back(L.substr(Start, I - Start));
-  }
-  return Out;
-}
-
-} // namespace
 
 ParsedStore serve::decodeStore(std::string_view Bytes) {
-  if (Bytes.substr(0, StoreHeader.size()) != StoreHeader)
-    fail("missing store magic");
-  size_t Eol = Bytes.find('\n');
-  if (Eol == std::string_view::npos)
-    fail("header line is cut short");
-  uint64_t Len = parseDec(Bytes.substr(StoreHeader.size(),
-                                       Eol - StoreHeader.size()));
-  size_t Body = Eol + 1;
-  if (Len > Bytes.size() - Body)
-    fail("payload truncated: header declares " + std::to_string(Len) +
-         " bytes, " + std::to_string(Bytes.size() - Body) + " present");
-  std::string_view Payload = Bytes.substr(Body, Len);
-  std::string_view Rest = Bytes.substr(Body + Len);
-  if (Rest.size() < TrailerSize)
-    fail("CRC trailer is missing or cut");
-  if (Rest.size() > TrailerSize)
-    fail("trailing data after CRC trailer");
-  if (Rest.substr(0, TrailerTag.size()) != TrailerTag || Rest.back() != '\n')
-    fail("malformed CRC trailer");
-  uint64_t Stored = 0;
-  if (!parseHexU(Rest.substr(TrailerTag.size(), 8), Stored) ||
-      Rest.substr(TrailerTag.size(), 8).size() != 8)
-    fail("malformed CRC value");
-  uint32_t Computed = crc32(Payload.data(), Payload.size());
-  if (Computed != static_cast<uint32_t>(Stored))
-    fail("CRC mismatch: stored " + hex8(static_cast<uint32_t>(Stored)) +
-         ", computed " + hex8(Computed));
-
-  LineReader R(Payload);
-  std::vector<std::string_view> F = fields(R.line());
-  if (F.size() != 2 || F[0] != "tracked")
-    fail("malformed tracked-class line");
+  frame::Cursor R(frame::decode(StoreMagic, Bytes), frame::family(StoreMagic));
   ParsedStore PS;
-  PS.TrackedClass = std::string(F[1]);
-
-  F = fields(R.line());
-  if (F.size() != 2 || F[0] != ProgramBegin)
-    fail("malformed program-begin line");
-  std::string_view ProgText = R.bytes(parseDec(F[1]));
+  PS.TrackedClass = std::string(R.fields("tracked", 2)[1]);
+  std::string_view ProgText = R.bytes(R.dec(R.fields(ProgramBegin, 2)[1]));
   if (R.line() != ProgramEnd)
-    fail("malformed program-end line");
+    R.fail("malformed program-end line");
   try {
     PS.Prog = parseProgramText(ProgText);
   } catch (const std::exception &E) {
-    fail(std::string("embedded program does not parse: ") + E.what());
+    R.fail(std::string("embedded program does not parse: ") + E.what());
   }
+  Program &Prog = *PS.Prog;
+  const TypestateSpec *Spec =
+      Prog.specFor(Prog.symbols().intern(PS.TrackedClass));
+  if (!Spec)
+    R.fail("embedded program has no spec for tracked class '" +
+           PS.TrackedClass + "'");
 
-  F = fields(R.line());
-  if (F.size() != 2 || F[0] != "procs")
-    fail("malformed procs line");
-  uint64_t NumProcs = parseDec(F[1]);
-  if (NumProcs != PS.Prog->numProcs())
-    fail("store lists " + std::to_string(NumProcs) +
-         " procedures, embedded program has " +
-         std::to_string(PS.Prog->numProcs()));
+  uint64_t NumProcs = R.dec(R.fields("procs", 2)[1]);
+  if (NumProcs != Prog.numProcs())
+    R.fail("store lists " + std::to_string(NumProcs) +
+           " procedures, embedded program has " +
+           std::to_string(Prog.numProcs()));
+  std::vector<uint8_t> Seen(Prog.numProcs(), 0);
   for (uint64_t I = 0; I != NumProcs; ++I) {
-    F = fields(R.line());
-    if (F.size() < 9 || F[0] != "proc" || F[2] != "hash" || F[4] != "fp" ||
+    std::vector<std::string_view> F = frame::split(R.line());
+    if (F.size() < 10 || F[0] != "proc" || F[2] != "hash" || F[4] != "fp" ||
         F[6] != "valid" || F[8] != "deps")
-      fail("malformed proc line");
+      R.fail("malformed 'proc' line");
     StoredProc P;
     P.Name = std::string(F[1]);
-    if (!parseHexU(F[3], P.BodyHash) || !parseHexU(F[5], P.OracleFp))
-      fail("malformed proc hash field");
-    uint64_t Valid = parseDec(F[7]);
-    if (Valid > 1)
-      fail("malformed valid flag");
-    P.HasSummary = Valid != 0;
-    if (F.size() < 10)
-      fail("malformed proc line (missing dep count)");
-    uint64_t ND = parseDec(F[9]);
-    if (F.size() != 10 + ND)
-      fail("proc line dep count does not match fields");
-    for (uint64_t D = 0; D != ND; ++D)
-      P.Deps.emplace_back(F[10 + D]);
-    if (PS.Prog->procId(PS.Prog->symbols().intern(P.Name)) == InvalidProc)
-      fail("store names unknown procedure '" + P.Name + "'");
-    if (P.HasSummary) {
-      std::vector<std::string_view> SF = fields(R.line());
-      if (SF.size() != 2 || SF[0] != "summary")
-        fail("malformed summary header line");
-      std::string_view SumText = R.bytes(parseDec(SF[1]));
-      P.Sum = parseSummaryText(*PS.Prog, SumText);
-    }
+    P.BodyHash = R.hex(F[3], 16);
+    P.OracleFp = R.hex(F[5], 16);
+    P.HasSummary = R.dec(F[7], 1) != 0;
+    if (R.dec(F[9]) != F.size() - 10)
+      R.fail("proc line dep count does not match fields");
+    P.Deps.assign(F.begin() + 10, F.end());
+    ProcId Id = Prog.procId(Prog.symbols().intern(P.Name));
+    if (Id == InvalidProc)
+      R.fail("store names unknown procedure '" + P.Name + "'");
+    if (Seen[Id])
+      R.fail("duplicate record for procedure '" + P.Name + "'");
+    Seen[Id] = 1;
+    if (P.HasSummary)
+      P.Sum = parseSummaryText(Prog, Spec->numStates(),
+                               R.bytes(R.dec(R.fields("summary", 2)[1])));
     PS.Procs.push_back(std::move(P));
   }
   if (!R.atEnd())
-    fail("trailing data after last procedure record");
+    R.fail("trailing data after last procedure record");
   return PS;
 }
 
@@ -681,5 +461,6 @@ void serve::saveStoreFile(const std::string &Path, const Program &Prog,
 }
 
 ParsedStore serve::loadStoreFile(const std::string &Path) {
-  return decodeStore(readWholeFile(Path, "serve.load"));
+  return decodeStore(
+      frame::readFile(frame::family(StoreMagic), Path, "serve.load"));
 }

@@ -21,12 +21,13 @@
 /// parser's dense-site-id invariant pins every site id across any edit
 /// that parses.
 ///
-/// The file framing mirrors the PR 3/4 checkpoint ("swift-serve-store v1 "
-/// + decimal payload length + payload + crc32 trailer) and goes to disk
-/// through writeFileAtomic with failpoint prefix "serve.save", so the
-/// crashtest kill campaign covers the store the same way it covers
-/// checkpoints: the survivor of a mid-save crash is always a complete,
-/// CRC-valid old or new snapshot.
+/// A store file is "swift-serve-store v1": the whole-file frame of
+/// support/Frame.h around the payload, written through writeFileAtomic
+/// with failpoint prefix "serve.save", so the crashtest kill campaign
+/// covers the store the same way it covers checkpoints: the survivor of a
+/// mid-save crash is always a complete, CRC-valid old or new snapshot.
+/// Every decode failure — frame, payload, or summary text — is a typed
+/// LoadError.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,11 +35,11 @@
 #define SWIFT_SERVE_STORE_H
 
 #include "framework/RelationalSolver.h"
+#include "support/Frame.h"
 #include "typestate/Context.h"
 #include "typestate/TsAnalysis.h"
 
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -47,13 +48,6 @@ namespace swift {
 namespace serve {
 
 using TsSummary = RelationalSolver<TsAnalysis>::Summary;
-
-/// Thrown on any malformed store file or summary text: truncated framing,
-/// CRC mismatch, unknown names, unsatisfiable replayed predicates.
-class StoreError : public std::runtime_error {
-public:
-  explicit StoreError(const std::string &What) : std::runtime_error(What) {}
-};
 
 /// One procedure's persisted incremental state.
 struct StoredProc {
@@ -82,23 +76,25 @@ struct ParsedStore {
 /// Serializes \p S against \p Prog's symbol table (names, not ids).
 std::string summaryToText(const Program &Prog, const TsSummary &S);
 
-/// Parses \p Text, interning every name into \p Prog. Throws StoreError on
-/// malformed input or names that do not resolve (procedure names in may-
-/// alias constraints must exist in \p Prog). Relation vectors are
-/// re-sorted after interning: symbol ids order relations, and ids shift
-/// across programs.
-TsSummary parseSummaryText(Program &Prog, std::string_view Text);
+/// Parses \p Text, interning every name into \p Prog. Throws
+/// LoadError(Corrupt) on malformed input, names that do not resolve
+/// (procedure names in may-alias constraints must exist in \p Prog), or
+/// typestates outside the tracked spec's \p NumStates states (every iota
+/// maps exactly those states). Relation vectors are re-sorted after
+/// interning: symbol ids order relations, and ids shift across programs.
+TsSummary parseSummaryText(Program &Prog, size_t NumStates,
+                           std::string_view Text);
 
 //===----------------------------------------------------------------------===//
 // Store files
 //===----------------------------------------------------------------------===//
 
-/// Serializes a full store (program text embedded verbatim) and frames it
-/// with the length header + crc32 trailer.
+/// Serializes a full store (program text embedded verbatim) and frames
+/// it.
 std::string encodeStore(const Program &Prog, const std::string &TrackedClass,
                         const std::vector<StoredProc> &Procs);
 
-/// Validates the framing and decodes everything. Throws StoreError.
+/// Validates the frame and decodes everything. Throws LoadError.
 ParsedStore decodeStore(std::string_view Bytes);
 
 /// encodeStore + writeFileAtomic (failpoint prefix "serve.save").
@@ -106,7 +102,7 @@ void saveStoreFile(const std::string &Path, const Program &Prog,
                    const std::string &TrackedClass,
                    const std::vector<StoredProc> &Procs);
 
-/// readWholeFile + decodeStore. Throws StoreError / std::runtime_error.
+/// readWholeFile + decodeStore. Throws LoadError.
 ParsedStore loadStoreFile(const std::string &Path);
 
 } // namespace serve

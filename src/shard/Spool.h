@@ -8,19 +8,20 @@
 /// The summary spool: a crash-safe append-only exchange directory through
 /// which sharded workers publish per-SCC relational summaries. One file
 /// per SCC ("seg-<scc>.spool"), written via writeFileAtomic under the
-/// "spool.save" failpoint prefix, framed exactly like the swift-ckpt v2 /
-/// serve-store files ("swift-spool v1 " + decimal payload length +
-/// payload + "crc32 " hex trailer) so a reader never observes a torn
-/// segment: after a worker dies at any instruction, each segment is
-/// either absent or a complete, CRC-valid publication.
+/// "spool.save" failpoint prefix, in the whole-file frame of
+/// support/Frame.h (magic "swift-spool v1 ") like the checkpoint and the
+/// serve store, so a reader never observes a torn segment: after a worker
+/// dies at any instruction, each segment is either absent or a complete,
+/// CRC-valid publication.
 ///
 /// The spool is a CACHE, never a source of truth — the same contract as
 /// the serve store. Every segment embeds the 64-bit hash of (program
-/// text, tracked class); consumers verify frame, CRC, hash, and member
-/// set before adopting, and treat ANY mismatch as a miss: the consumer
-/// then recomputes the summaries itself, which the solver's determinism
-/// makes byte-identical to what the owner would have published. Nothing a
-/// corrupt or stale spool can contain changes an analysis result.
+/// text, tracked class); consumers verify frame, CRC, hash, member set
+/// and summary text (typestates within the tracked spec) before adopting,
+/// and treat ANY mismatch as a miss: the consumer then recomputes the
+/// summaries itself, which the solver's determinism makes byte-identical
+/// to what the owner would have published. Nothing a corrupt or stale
+/// spool can contain changes an analysis result.
 ///
 /// Heartbeat files ("hb-<shard>") ride in the same directory: tiny
 /// atomically-replaced records whose mtime the coordinator polls to
@@ -32,24 +33,16 @@
 #define SWIFT_SHARD_SPOOL_H
 
 #include "ir/Program.h"
+#include "support/Frame.h"
 
 #include <cstdint>
 #include <optional>
-#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace swift {
 namespace shard {
-
-/// Typed load failure: truncated framing, CRC mismatch, malformed
-/// payload. tryLoadSegment converts these into a cache miss; decode
-/// surfaces them for tests and diagnostics.
-class SpoolError : public std::runtime_error {
-public:
-  explicit SpoolError(const std::string &What) : std::runtime_error(What) {}
-};
 
 /// One procedure's published summary, as symbolic text (the serve-store
 /// codec: names, never symbol ids, so segments are valid across
@@ -74,7 +67,8 @@ std::string segmentFileName(uint64_t Scc);
 std::string segmentPath(const std::string &Dir, uint64_t Scc);
 
 std::string encodeSegment(const Segment &S);
-/// Throws SpoolError on any framing or payload defect.
+/// Throws LoadError on any frame or payload defect; tryLoadSegment turns
+/// that into a cache miss.
 Segment decodeSegment(std::string_view Bytes);
 
 /// encodeSegment + writeFileAtomic (failpoint prefix "spool.save").

@@ -28,8 +28,8 @@ namespace {
 /// All-or-nothing adoption of one verified segment: every member parses
 /// or nothing is installed (a half-installed SCC would not be a summary
 /// any run could have produced).
-bool tryInstallSegment(Program &Prog, const std::vector<ProcId> &Members,
-                       const Segment &Seg,
+bool tryInstallSegment(Program &Prog, const TsContext &Ctx,
+                       const std::vector<ProcId> &Members, const Segment &Seg,
                        RelationalSolver<TsAnalysis> &Solver) {
   if (Seg.Procs.size() != Members.size())
     return false;
@@ -43,7 +43,9 @@ bool tryInstallSegment(Program &Prog, const std::vector<ProcId> &Members,
       if (It == Expect.end())
         return false; // wrong member set
       Parsed.emplace_back(It->second,
-                          serve::parseSummaryText(Prog, SP.SummaryText));
+                          serve::parseSummaryText(Prog,
+                                                  Ctx.spec().numStates(),
+                                                  SP.SummaryText));
       Expect.erase(It);
     }
   } catch (const std::exception &) {
@@ -83,7 +85,7 @@ SolveSetup shard::prepareSolve(Program &Prog, const TsContext &Ctx,
     }
     if (Source) {
       if (std::optional<Segment> Seg = Source(S)) {
-        if (tryInstallSegment(Prog, Members, *Seg, Solver)) {
+        if (tryInstallSegment(Prog, Ctx, Members, *Seg, Solver)) {
           ++R.InstalledSccs;
           continue; // final summary adopted; callees not needed
         }

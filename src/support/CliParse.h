@@ -30,12 +30,15 @@ inline bool parseU64(std::string_view Text, uint64_t &Out,
                      uint64_t Max = UINT64_MAX) {
   if (Text.empty())
     return false;
+  // V * 10 + Digit <= Max exactly when V < Max / 10, or V == Max / 10 and
+  // Digit <= Max % 10.
+  const uint64_t MaxDiv10 = Max / 10, MaxMod10 = Max % 10;
   uint64_t V = 0;
   for (char C : Text) {
     if (C < '0' || C > '9')
       return false;
     uint64_t Digit = static_cast<uint64_t>(C - '0');
-    if (V > (Max - Digit) / 10)
+    if (V > MaxDiv10 || (V == MaxDiv10 && Digit > MaxMod10))
       return false; // overflow past Max
     V = V * 10 + Digit;
   }

@@ -158,6 +158,10 @@ TEST(CliParseTest, ParseU64) {
   EXPECT_FALSE(cli::parseU64("", V));
   EXPECT_FALSE(cli::parseU64("-1", V));
   EXPECT_FALSE(cli::parseU64("12a", V));
+  // A single digit above a small maximum must not wrap past the bound.
+  EXPECT_TRUE(cli::parseU64("2", V, 2));
+  EXPECT_FALSE(cli::parseU64("3", V, 2));
+  EXPECT_FALSE(cli::parseU64("7", V, 1));
 }
 
 TEST(CliParseTest, ParseUnsignedRange) {

@@ -87,6 +87,15 @@ check "missing checkpoint" 2 $?
 expect_grep "missing checkpoint" "malformed checkpoint" "$work/missing.err"
 reject_grep "missing checkpoint" "usage:" "$work/missing.err"
 
+# 5b. A field outside its grammar (a signed step count in an otherwise
+#     valid legacy v1 checkpoint) -> the same malformed-input contract.
+"$analyze" --resume-from="$corpus/badfield-signed-steps.swiftckpt" \
+  > /dev/null 2> "$work/badfield.err"
+check "signed checkpoint field" 2 $?
+expect_grep "signed checkpoint field" "malformed checkpoint" \
+  "$work/badfield.err"
+reject_grep "signed checkpoint field" "usage:" "$work/badfield.err"
+
 # 6. Kill failpoint mid-save: exit 85 (injected crash), and the target
 #    checkpoint path must not exist — no torn file.
 rm -f "$work/killed.swiftckpt"

@@ -6,14 +6,19 @@
 ///
 /// \file
 /// Tests of crash-safe, corruption-detecting persistence: the CRC32
-/// primitive, swift-ckpt v2 framing, typed load-error classification
-/// (every truncation of a framed file reports Truncated, every bit flip a
-/// CheckpointLoadError, payload flips specifically Corrupt), legacy v1
-/// compatibility, the checked-in corrupted-checkpoint corpus
-/// (tests/corpus/*.swiftckpt), a seeded mutation fuzz loop, atomic-save
-/// behavior under injected write faults (transient faults retried,
-/// persistent faults surfaced with the old file intact), and the parser
-/// count-sanity limits that make absurd section counts fail fast.
+/// primitive, the shared framing codec (support/Frame.h) driven through
+/// all four persisted formats — swift-ckpt v2, the serve store, the shard
+/// spool and the edit journal — by one mutation-fuzz harness (every
+/// truncation past the magic is Truncated, every payload bit flip
+/// Corrupt, every splice a typed rejection, a foreign version
+/// VersionMismatch, every journal cut or flip replays exactly the records
+/// before it), byte-for-byte round trips of golden files written by an
+/// earlier build (tests/corpus/golden.*), legacy v1 compatibility, the
+/// checked-in corrupted-checkpoint corpus (tests/corpus/*.swiftckpt),
+/// atomic-save behavior under injected write faults (transient faults
+/// retried, persistent faults surfaced with the old file intact), and
+/// the parser count-sanity limits that make absurd section counts fail
+/// fast.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,8 +26,12 @@
 #include "genprog/Fuzzer.h"
 #include "govern/Checkpoint.h"
 #include "ir/Dumper.h"
+#include "serve/Journal.h"
+#include "serve/Store.h"
+#include "shard/Spool.h"
 #include "support/AtomicFile.h"
 #include "support/FailPoint.h"
+#include "support/Frame.h"
 #include "support/Hashing.h"
 #include "support/Rng.h"
 #include "typestate/Runner.h"
@@ -111,14 +120,56 @@ protected:
   std::filesystem::path Dir;
 };
 
-LoadErrorKind kindOf(std::string_view Image) {
+std::string corpusBytes(const char *Name) {
+  return readWholeFile(std::string(SWIFT_CORPUS_DIR) + "/" + Name);
+}
+
+/// A whole-file format under test: a good image and its full decoder
+/// (frame check, then payload grammar).
+struct FramedFormat {
+  const char *Name;
+  std::string Image;
+  void (*Decode)(std::string_view);
+
+  /// "<family> v<N> " — the part a cut must keep to be a Truncated file.
+  size_t magicSize() const {
+    return Image.find(' ', Image.find(' ') + 1) + 1;
+  }
+  size_t payloadBegin() const { return Image.find('\n') + 1; }
+  size_t payloadEnd() const { return Image.size() - frame::TrailerSize; }
+};
+
+/// The checkpoint fixture, and the store and spool segment an earlier
+/// build wrote (tests/corpus/golden.*).
+const std::vector<FramedFormat> &framedFormats() {
+  static const std::vector<FramedFormat> Formats = {
+      {"swift-ckpt", fixture().Image,
+       [](std::string_view B) { (void)parseCheckpointFile(B); }},
+      {"swift-serve-store", corpusBytes("golden.swiftstore"),
+       [](std::string_view B) { (void)serve::decodeStore(B); }},
+      {"swift-spool", corpusBytes("golden.swiftspool"),
+       [](std::string_view B) { (void)shard::decodeSegment(B); }},
+  };
+  return Formats;
+}
+
+/// The kind \p F's decoder rejects \p Bytes with; accepting them fails
+/// the test.
+LoadErrorKind kindOf(std::string_view Bytes,
+                     const FramedFormat &F = framedFormats()[0]) {
   try {
-    (void)parseCheckpointFile(Image);
-  } catch (const CheckpointLoadError &E) {
+    F.Decode(Bytes);
+  } catch (const LoadError &E) {
     return E.kind();
   }
-  ADD_FAILURE() << "expected a CheckpointLoadError";
+  ADD_FAILURE() << F.Name << ": expected a LoadError";
   return LoadErrorKind::IoError;
+}
+
+/// \p Image with the version digit of its magic replaced by '9'.
+std::string withVersion9(std::string Image) {
+  Image[Image.find(" v") + 2] = '9';
+  return Image;
 }
 
 //===----------------------------------------------------------------------===//
@@ -160,34 +211,33 @@ TEST(PersistFormatTest, LegacyV1PayloadStillParses) {
 }
 
 TEST(PersistFormatTest, EveryTruncationIsTypedAndDetected) {
-  const std::string &Image = fixture().Image;
-  // Every proper prefix must be rejected with a typed error; once the
-  // full "swift-ckpt v2 " magic survives the cut, specifically as
-  // Truncated (shorter cuts lose the magic itself and classify as
-  // Corrupt or VersionMismatch — still typed, never accepted).
-  for (size_t Cut = 0; Cut < Image.size();
-       Cut += (Cut < 64 ? 1 : 37)) {
-    std::string_view Prefix(Image.data(), Cut);
-    LoadErrorKind K = kindOf(Prefix);
-    if (Cut >= 14) {
-      EXPECT_EQ(K, LoadErrorKind::Truncated) << "cut at " << Cut;
+  // Every proper prefix of every format must be rejected with a typed
+  // error; once the full "<family> v<N> " magic survives the cut,
+  // specifically as Truncated (shorter cuts lose the magic itself and
+  // classify as Truncated, Corrupt or VersionMismatch — still typed,
+  // never accepted).
+  for (const FramedFormat &F : framedFormats()) {
+    SCOPED_TRACE(F.Name);
+    for (size_t Cut = 0; Cut < F.Image.size(); ++Cut) {
+      LoadErrorKind K = kindOf(std::string_view(F.Image).substr(0, Cut), F);
+      if (Cut >= F.magicSize()) {
+        EXPECT_EQ(K, LoadErrorKind::Truncated) << "cut at " << Cut;
+      }
     }
   }
 }
 
 TEST(PersistFormatTest, EveryPayloadBitFlipIsCorrupt) {
-  const Fixture &F = fixture();
-  const size_t PayloadBegin = F.Image.find('\n') + 1;
-  const size_t PayloadEnd = PayloadBegin + F.Payload.size();
-  for (size_t I = 0; I < F.Image.size(); I += (I < 64 ? 1 : 29)) {
-    std::string Mut = F.Image;
-    Mut[I] = static_cast<char>(Mut[I] ^ (1u << (I % 8)));
-    if (Mut[I] == F.Image[I])
-      continue;
-    LoadErrorKind K = kindOf(Mut); // must throw typed, never crash
-    if (I >= PayloadBegin && I < PayloadEnd) {
-      EXPECT_EQ(K, LoadErrorKind::Corrupt)
-          << "payload flip at " << I << " escaped the CRC";
+  for (const FramedFormat &F : framedFormats()) {
+    SCOPED_TRACE(F.Name);
+    for (size_t I = 0; I < F.Image.size(); ++I) {
+      std::string Mut = F.Image;
+      Mut[I] = static_cast<char>(Mut[I] ^ (1u << (I % 8)));
+      LoadErrorKind K = kindOf(Mut, F); // must throw typed, never crash
+      if (I >= F.payloadBegin() && I < F.payloadEnd()) {
+        EXPECT_EQ(K, LoadErrorKind::Corrupt)
+            << "payload flip at " << I << " escaped the CRC";
+      }
     }
   }
 }
@@ -209,6 +259,10 @@ TEST(PersistFormatTest, UnsupportedVersionIsVersionMismatch) {
   EXPECT_EQ(kindOf("swift-ckpt v3 12\nfuture stuff\n"),
             LoadErrorKind::VersionMismatch);
   EXPECT_EQ(kindOf("swift-ckpt v99\n"), LoadErrorKind::VersionMismatch);
+  for (const FramedFormat &F : framedFormats())
+    EXPECT_EQ(kindOf(withVersion9(F.Image), F),
+              LoadErrorKind::VersionMismatch)
+        << F.Name;
 }
 
 TEST(PersistFormatTest, JunkAndEmptyAreTyped) {
@@ -224,57 +278,51 @@ TEST(PersistFormatTest, JunkAndEmptyAreTyped) {
 //===----------------------------------------------------------------------===//
 
 TEST(PersistFuzzTest, FiftySeedsOfMutationsNeverCrashAndClassify) {
-  const std::string &Image = fixture().Image;
-  const size_t PayloadBegin = Image.find('\n') + 1;
-  const size_t PayloadEnd = Image.size() - 15; // CRC trailer
-  uint64_t Truncations = 0, Flips = 0, Splices = 0;
-
-  for (uint64_t Seed = 1; Seed <= 50; ++Seed) {
-    Rng R(Seed * 0x9e3779b9u);
-    std::string Mut = Image;
-    switch (R.below(3)) {
-    case 0: { // truncate
-      Mut.resize(R.below(Mut.size()));
-      ++Truncations;
-      LoadErrorKind K = kindOf(Mut);
-      if (Mut.size() >= 14) {
-        EXPECT_EQ(K, LoadErrorKind::Truncated) << "seed " << Seed;
+  for (const FramedFormat &F : framedFormats()) {
+    SCOPED_TRACE(F.Name);
+    uint64_t Truncations = 0, Flips = 0, Splices = 0;
+    for (uint64_t Seed = 1; Seed <= 50; ++Seed) {
+      Rng R(Seed * 0x9e3779b9u);
+      std::string Mut = F.Image;
+      switch (R.below(3)) {
+      case 0: { // truncate
+        Mut.resize(R.below(Mut.size()));
+        ++Truncations;
+        LoadErrorKind K = kindOf(Mut, F);
+        if (Mut.size() >= F.magicSize()) {
+          EXPECT_EQ(K, LoadErrorKind::Truncated) << "seed " << Seed;
+        }
+        break;
       }
-      break;
-    }
-    case 1: { // flip one bit
-      size_t I = R.below(Mut.size());
-      char Old = Mut[I];
-      Mut[I] = static_cast<char>(Old ^ (1u << R.below(8)));
-      if (Mut[I] == Old)
-        break; // zero mask; mutant equals original
-      ++Flips;
-      LoadErrorKind K = kindOf(Mut);
-      if (I >= PayloadBegin && I < PayloadEnd) {
-        EXPECT_EQ(K, LoadErrorKind::Corrupt) << "seed " << Seed;
+      case 1: { // flip one bit
+        size_t I = R.below(Mut.size());
+        char Old = Mut[I];
+        Mut[I] = static_cast<char>(Old ^ (1u << R.below(8)));
+        ++Flips;
+        LoadErrorKind K = kindOf(Mut, F);
+        if (I >= F.payloadBegin() && I < F.payloadEnd()) {
+          EXPECT_EQ(K, LoadErrorKind::Corrupt) << "seed " << Seed;
+        }
+        break;
       }
-      break;
-    }
-    default: { // duplicate a random slice in place (grows the file)
-      size_t At = R.below(Mut.size());
-      size_t Len = 1 + R.below(std::min<size_t>(64, Mut.size() - At));
-      Mut.insert(At, Mut.substr(At, Len));
-      ++Splices;
-      try {
-        (void)parseCheckpointFile(Mut);
-        ADD_FAILURE() << "seed " << Seed << ": grown mutant accepted";
-      } catch (const CheckpointLoadError &) {
-        // Typed rejection is the contract; the kind depends on where
-        // the splice landed.
+      default: { // duplicate a random slice in place (grows the file)
+        size_t At = R.below(Mut.size());
+        size_t Len = 1 + R.below(std::min<size_t>(64, Mut.size() - At));
+        Mut.insert(At, Mut.substr(At, Len));
+        ++Splices;
+        // Typed rejection is the contract; the kind depends on where the
+        // splice landed.
+        (void)kindOf(Mut, F);
+        break;
       }
-      break;
+      }
     }
-    }
+    // The switch is seed-driven; make sure all three mutators actually
+    // ran.
+    EXPECT_GT(Truncations, 5u);
+    EXPECT_GT(Flips, 5u);
+    EXPECT_GT(Splices, 5u);
   }
-  // The switch is seed-driven; make sure all three mutators actually ran.
-  EXPECT_GT(Truncations, 5u);
-  EXPECT_GT(Flips, 5u);
-  EXPECT_GT(Splices, 5u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -283,15 +331,16 @@ TEST(PersistFuzzTest, FiftySeedsOfMutationsNeverCrashAndClassify) {
 
 TEST(PersistCorpusTest, ReplaysEveryCheckedInCheckpoint) {
   // File-name prefixes encode the expected outcome: good-* and legacy-*
-  // load; truncated-*, bitflip-*, dup-*, badversion-* raise the matching
-  // typed error.
+  // load; truncated-*, bitflip-*, dup-*, badfield-* (a field outside its
+  // grammar: a signed number, an out-of-range thread count),
+  // badversion-* raise the matching typed error.
   std::vector<std::string> Files;
   for (const auto &Entry :
        std::filesystem::directory_iterator(SWIFT_CORPUS_DIR))
     if (Entry.path().extension() == ".swiftckpt")
       Files.push_back(Entry.path().string());
   std::sort(Files.begin(), Files.end());
-  ASSERT_GE(Files.size(), 6u) << "corpus lost its checkpoint files";
+  ASSERT_GE(Files.size(), 9u) << "corpus lost its checkpoint files";
 
   for (const std::string &Path : Files) {
     std::string Stem = std::filesystem::path(Path).stem().string();
@@ -308,14 +357,129 @@ TEST(PersistCorpusTest, ReplaysEveryCheckedInCheckpoint) {
       Want = LoadErrorKind::VersionMismatch;
     else
       ASSERT_TRUE(Stem.rfind("bitflip-", 0) == 0 ||
-                  Stem.rfind("dup-", 0) == 0)
+                  Stem.rfind("dup-", 0) == 0 ||
+                  Stem.rfind("badfield-", 0) == 0)
           << "unrecognized corpus file name scheme";
     try {
       (void)loadCheckpointFile(Path);
       ADD_FAILURE() << "corrupted checkpoint accepted";
-    } catch (const CheckpointLoadError &E) {
+    } catch (const LoadError &E) {
       EXPECT_EQ(E.kind(), Want) << E.what();
     }
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Golden files and the edit journal
+//===----------------------------------------------------------------------===//
+
+/// Writes \p Bytes as a journal, replays it, and returns the records;
+/// \p After receives the file as replay left it.
+std::vector<serve::Journal::Record> replayBytes(const std::string &Path,
+                                                const std::string &Bytes,
+                                                std::string &After) {
+  writeFileAtomic(Path, Bytes);
+  std::vector<serve::Journal::Record> Recs =
+      serve::Journal(Path).replayAndRepair();
+  After = readWholeFile(Path);
+  return Recs;
+}
+
+/// Record boundaries of a valid journal image: the end of the magic line,
+/// then the end of each record.
+std::vector<size_t> recordEnds(const std::vector<serve::Journal::Record> &Rs) {
+  std::vector<size_t> Ends{serve::Journal::Magic.size()};
+  for (const serve::Journal::Record &R : Rs)
+    Ends.push_back(Ends.back() + serve::Journal::encodeRecord(R).size());
+  return Ends;
+}
+
+TEST_F(PersistTest, GoldenFilesRoundTripByteForByte) {
+  // Written by an earlier build: the formats must not have moved.
+  std::string Store = corpusBytes("golden.swiftstore");
+  serve::ParsedStore PS = serve::decodeStore(Store);
+  EXPECT_EQ(serve::encodeStore(*PS.Prog, PS.TrackedClass, PS.Procs), Store);
+
+  std::string Spool = corpusBytes("golden.swiftspool");
+  EXPECT_EQ(shard::encodeSegment(shard::decodeSegment(Spool)), Spool);
+
+  std::string Log = corpusBytes("golden.swiftjournal");
+  std::string After;
+  std::vector<serve::Journal::Record> Recs =
+      replayBytes(path("j.log"), Log, After);
+  ASSERT_EQ(Recs.size(), 3u);
+  EXPECT_EQ(After, Log) << "replay of a clean journal modified it";
+  std::string Re(serve::Journal::Magic);
+  for (const serve::Journal::Record &R : Recs)
+    Re += serve::Journal::encodeRecord(R);
+  EXPECT_EQ(Re, Log);
+}
+
+TEST_F(PersistTest, JournalEveryCutReplaysTheRecordsBeforeIt) {
+  const std::string Log = corpusBytes("golden.swiftjournal");
+  std::string After;
+  const std::vector<serve::Journal::Record> All =
+      replayBytes(path("j.log"), Log, After);
+  ASSERT_EQ(All.size(), 3u);
+  const std::vector<size_t> Ends = recordEnds(All);
+  for (size_t Cut = 0; Cut <= Log.size(); ++Cut) {
+    std::string Prefix = Log.substr(0, Cut);
+    if (Cut < serve::Journal::Magic.size()) {
+      // Not a journal yet: nothing to replay, nothing repaired.
+      try {
+        (void)replayBytes(path("j.log"), Prefix, After);
+        ADD_FAILURE() << "cut magic line accepted at " << Cut;
+      } catch (const LoadError &E) {
+        EXPECT_EQ(E.kind(), LoadErrorKind::Truncated) << "cut at " << Cut;
+      }
+      continue;
+    }
+    // Exactly the records that end at or before the cut survive, and the
+    // file is truncated to the last of them.
+    size_t Complete = 0;
+    while (Complete + 1 < Ends.size() && Ends[Complete + 1] <= Cut)
+      ++Complete;
+    std::vector<serve::Journal::Record> Got =
+        replayBytes(path("j.log"), Prefix, After);
+    ASSERT_EQ(Got.size(), Complete) << "cut at " << Cut;
+    for (size_t I = 0; I != Complete; ++I)
+      EXPECT_EQ(Got[I].Body, All[I].Body) << "cut at " << Cut;
+    EXPECT_EQ(After, Log.substr(0, Ends[Complete])) << "cut at " << Cut;
+  }
+}
+
+TEST_F(PersistTest, JournalEveryFlipStopsAtTheDamagedRecord) {
+  const std::string Log = corpusBytes("golden.swiftjournal");
+  std::string After;
+  const std::vector<size_t> Ends =
+      recordEnds(replayBytes(path("j.log"), Log, After));
+  for (size_t I = 0; I < Log.size(); ++I) {
+    std::string Mut = Log;
+    Mut[I] = static_cast<char>(Mut[I] ^ (1u << (I % 8)));
+    if (I < serve::Journal::Magic.size()) {
+      EXPECT_THROW((void)replayBytes(path("j.log"), Mut, After), LoadError)
+          << "magic flip at " << I;
+      continue;
+    }
+    // The record holding byte I and everything after it are dropped.
+    size_t Damaged = 0;
+    while (Ends[Damaged + 1] <= I)
+      ++Damaged;
+    EXPECT_EQ(replayBytes(path("j.log"), Mut, After).size(), Damaged)
+        << "flip at " << I;
+    EXPECT_EQ(After, Log.substr(0, Ends[Damaged])) << "flip at " << I;
+  }
+}
+
+TEST_F(PersistTest, JournalWrongVersionIsVersionMismatch) {
+  std::string After;
+  try {
+    (void)replayBytes(path("j.log"),
+                      withVersion9(corpusBytes("golden.swiftjournal")),
+                      After);
+    FAIL() << "expected LoadError";
+  } catch (const LoadError &E) {
+    EXPECT_EQ(E.kind(), LoadErrorKind::VersionMismatch) << E.what();
   }
 }
 
@@ -335,8 +499,8 @@ TEST_F(PersistTest, SaveLoadRoundTripsOnDisk) {
 TEST_F(PersistTest, MissingFileIsIoError) {
   try {
     (void)loadCheckpointFile(path("nope.swiftckpt"));
-    FAIL() << "expected CheckpointLoadError";
-  } catch (const CheckpointLoadError &E) {
+    FAIL() << "expected LoadError";
+  } catch (const LoadError &E) {
     EXPECT_EQ(E.kind(), LoadErrorKind::IoError);
   }
 }
@@ -380,8 +544,8 @@ TEST_F(PersistTest, InjectedReadFaultIsIoError) {
   failpoint::ScopedArm Arm("ckpt.load.read=always");
   try {
     (void)loadCheckpointFile(P);
-    FAIL() << "expected CheckpointLoadError";
-  } catch (const CheckpointLoadError &E) {
+    FAIL() << "expected LoadError";
+  } catch (const LoadError &E) {
     EXPECT_EQ(E.kind(), LoadErrorKind::IoError);
   }
 }

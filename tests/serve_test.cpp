@@ -25,6 +25,7 @@
 
 #include "genprog/Fuzzer.h"
 #include "ir/Dumper.h"
+#include "support/Frame.h"
 
 #include "gtest/gtest.h"
 
@@ -227,8 +228,67 @@ TEST(ServeStore, CorruptStoreIsRejected) {
     std::ofstream OS(Path, std::ios::binary | std::ios::trunc);
     OS << Bytes;
   }
-  EXPECT_THROW(loadStoreFile(Path), StoreError);
+  EXPECT_THROW(loadStoreFile(Path), LoadError);
   std::remove(Path.c_str());
+}
+
+TEST(ServeStore, OutOfRangeTypestatesWithValidCrcAreCorrupt) {
+  // Re-frame mutated payloads: the CRC validates (it is computed over the
+  // mutant), so only the summary grammar can object. The relation
+  // algebra indexes iota by typestate and iota by iota without a bounds
+  // check, so each of these must be rejected at load.
+  std::string Path = tempPath("serve_store_tstate.bin");
+  {
+    ServeEngine E(DiamondText, EngineOptions());
+    ASSERT_TRUE(E.solveInitial().Ok);
+    E.saveStore(Path);
+  }
+  const std::string Bytes = readAll(Path);
+  std::remove(Path.c_str());
+  const std::string Magic = "swift-serve-store v1 ";
+  const std::string Payload(frame::decode(Magic, Bytes));
+  ASSERT_EQ(frame::encode(Magic, Payload), Bytes);
+
+  // Rewrites the \p Width bytes after every \p Anchor via \p Edit.
+  auto Mutated = [&](const std::string &Anchor, size_t Width,
+                     std::string (*Edit)(const std::string &Old)) {
+    std::string P = Payload;
+    size_t Hits = 0;
+    for (size_t At = P.find(Anchor); At != std::string::npos;
+         At = P.find(Anchor, At + 1), ++Hits)
+      P.replace(At + Anchor.size(), Width,
+                Edit(P.substr(At + Anchor.size(), Width)));
+    EXPECT_GT(Hits, 0u) << Anchor;
+    return frame::encode(Magic, P);
+  };
+  auto ExpectCorrupt = [](const std::string &Image, const char *What) {
+    try {
+      (void)decodeStore(Image);
+      ADD_FAILURE() << What << " accepted";
+    } catch (const LoadError &E) {
+      EXPECT_EQ(E.kind(), LoadErrorKind::Corrupt) << What << ": " << E.what();
+    }
+  };
+  // File has three states, so every iota reads "iota 3 d d d". A
+  // one-entry iota, padded to the same byte length:
+  ExpectCorrupt(Mutated(" iota ", 7,
+                        [](const std::string &Old) {
+                          return "1 " + Old.substr(2, 1) + "    ";
+                        }),
+                "short iota");
+  // An iota entry past the spec's last state:
+  ExpectCorrupt(Mutated(" iota ", 7,
+                        [](const std::string &Old) {
+                          return Old.substr(0, 6) + "7";
+                        }),
+                "iota entry 7");
+  // An alloc relation ("A <site> <typestate> ...") whose state carries
+  // typestate 7 of 3:
+  ExpectCorrupt(Mutated("\nA ", 3,
+                        [](const std::string &Old) {
+                          return Old.substr(0, 2) + "7";
+                        }),
+                "alloc typestate 7");
 }
 
 TEST(ServeStore, SummaryCodecRoundTripsAcrossPrograms) {
@@ -246,7 +306,7 @@ TEST(ServeStore, SummaryCodecRoundTripsAcrossPrograms) {
     if (!P.HasSummary)
       continue;
     std::string T1 = summaryToText(*S.Prog, P.Sum);
-    TsSummary Re = parseSummaryText(*Copy, T1);
+    TsSummary Re = parseSummaryText(*Copy, Copy->spec(0).numStates(), T1);
     EXPECT_EQ(summaryToText(*Copy, Re), T1) << "proc " << P.Name;
   }
   std::remove(Path.c_str());
@@ -435,7 +495,7 @@ TEST(ServeJournal, WrongMagicIsATypedLoadError) {
   std::string Path = tempPath("serve_journal_badmagic.log");
   writeAll(Path, "not a journal at all\nedit 1 1\nab...\n");
   Journal J(Path);
-  EXPECT_THROW(J.replayAndRepair(), JournalLoadError);
+  EXPECT_THROW(J.replayAndRepair(), LoadError);
   // And the unusable file was left alone for the operator to inspect.
   EXPECT_NE(readAll(Path).find("not a journal"), std::string::npos);
   std::remove(Path.c_str());

@@ -23,10 +23,14 @@
 #include "shard/Spool.h"
 #include "shard/Worker.h"
 #include "support/AtomicFile.h"
+#include "support/Frame.h"
+#include "support/Stats.h"
+#include "support/Timer.h"
 #include "typestate/Runner.h"
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -160,17 +164,38 @@ TEST(SpoolCodec, CorruptionIsDetected) {
   for (size_t I = 0; I < Good.size(); I += 7) {
     std::string Bad = Good;
     Bad[I] ^= 0x20;
-    EXPECT_THROW((void)shard::decodeSegment(Bad), shard::SpoolError)
+    EXPECT_THROW((void)shard::decodeSegment(Bad), LoadError)
         << "byte " << I << " flip undetected";
   }
   // Truncation at every prefix length must fail too.
   for (size_t Len = 0; Len < Good.size(); Len += 11)
     EXPECT_THROW((void)shard::decodeSegment(Good.substr(0, Len)),
-                 shard::SpoolError)
+                 LoadError)
         << "truncation to " << Len << " undetected";
   // Trailing garbage after a valid frame is not a valid segment file.
-  EXPECT_THROW((void)shard::decodeSegment(Good + "x"), shard::SpoolError);
-  EXPECT_THROW((void)shard::decodeSegment(std::string()), shard::SpoolError);
+  EXPECT_THROW((void)shard::decodeSegment(Good + "x"), LoadError);
+  EXPECT_THROW((void)shard::decodeSegment(std::string()), LoadError);
+}
+
+TEST(SpoolCodec, NonCanonicalCrcTrailerIsRejected) {
+  // Like every framed format, a segment accepts only "crc32 " + exactly
+  // 8 lowercase hex digits + '\n' — not the same CRC spelled wider,
+  // upper-case, or after an extra blank.
+  const std::string Good = shard::encodeSegment(sampleSegment());
+  const size_t At = Good.size() - 9; // the 8 hex digits + '\n'
+  const std::string Hex = Good.substr(At, 8);
+  std::string Upper = Hex;
+  for (char &C : Upper)
+    C = static_cast<char>(std::toupper(static_cast<unsigned char>(C)));
+  ASSERT_NE(Upper, Hex) << "CRC has no hex letter; pick another sample";
+  for (const std::string &Spelling : {"00000000" + Hex, Upper, " " + Hex}) {
+    try {
+      (void)shard::decodeSegment(Good.substr(0, At) + Spelling + "\n");
+      ADD_FAILURE() << "trailer 'crc32 " << Spelling << "' accepted";
+    } catch (const LoadError &E) {
+      EXPECT_EQ(E.kind(), LoadErrorKind::Corrupt) << E.what();
+    }
+  }
 }
 
 TEST(SpoolCodec, TryLoadVerifiesThenAdoptsAndNeverThrows) {
@@ -302,6 +327,62 @@ TEST(ShardWorker, WorkersPopulateSpoolAndAssemblyMatchesBu) {
   TsRunResult Bu = runTypestateBu(Ctx);
   EXPECT_EQ(A.ErrorSites, Bu.ErrorSites);
   EXPECT_EQ(A.MainExit, Bu.MainExit);
+}
+
+TEST(ShardWorker, SegmentsWithOutOfRangeTypestatesAreNotAdopted) {
+  // A CRC-valid segment whose summaries carry typestates the tracked spec
+  // does not have must be a cache miss, like any other defect: the
+  // relation algebra indexes iota without a bounds check.
+  ScratchDir Dir("tstate");
+  std::unique_ptr<Program> Prog = fuzzProgram(15);
+  std::string Class = trackedClass(*Prog);
+  std::string ProgPath = Dir.str() + "/prog.swiftir";
+  writeFileAtomic(ProgPath, programToText(*Prog));
+  shard::WorkerOptions WO;
+  WO.ProgramPath = ProgPath;
+  WO.TrackedClass = Class;
+  WO.NumShards = 1;
+  WO.SpoolDir = Dir.str();
+  ASSERT_EQ(shard::runWorker(WO), shard::WorkerExitOk);
+
+  TsContext Ctx(*Prog, Prog->symbols().intern(Class));
+  ASSERT_EQ(Ctx.spec().numStates(), 3u);
+  shard::ShardPlan Plan = shard::planShards(*Prog, Ctx.callGraph(), 1);
+  uint64_t Hash = shard::programSpoolHash(*Prog, Class);
+  size_t MainScc = Ctx.callGraph().scc(Prog->mainProc());
+  const std::optional<shard::Segment> Good =
+      shard::tryLoadSegment(Dir.str(), MainScc, Hash);
+  ASSERT_TRUE(Good.has_value());
+  auto Adopted = [&](const shard::Segment &Seg) {
+    shard::saveSegment(Dir.str(), Seg);
+    Budget Bud(UINT64_MAX, 1e18);
+    Stats Stat;
+    RelationalSolver<TsAnalysis> Solver(
+        Ctx, Ctx.program(), Ctx.callGraph(), NoPruning,
+        [](ProcId) -> const std::unordered_map<TsAbstractState, uint64_t> * {
+          return nullptr;
+        },
+        Bud, Stat);
+    return shard::prepareSolve(*Prog, Ctx, Plan, Dir.str(), Hash, {},
+                               {MainScc}, Solver)
+               .InstalledSccs == 1;
+  };
+  // Replaces the count and the entries of every "iota 3 d d d" in main's
+  // summary with \p Entries (same byte length).
+  auto WithIota = [&](const std::string &Entries) {
+    shard::Segment Seg = *Good;
+    size_t Hits = 0;
+    for (shard::SegmentProc &P : Seg.Procs)
+      for (size_t At = P.SummaryText.find(" iota 3 ");
+           At != std::string::npos;
+           At = P.SummaryText.find(" iota 3 ", At + 1), ++Hits)
+        P.SummaryText.replace(At + 6, 7, Entries);
+    EXPECT_GT(Hits, 0u);
+    return Seg;
+  };
+  EXPECT_TRUE(Adopted(*Good));
+  EXPECT_FALSE(Adopted(WithIota("1 2    "))) << "one-entry iota adopted";
+  EXPECT_FALSE(Adopted(WithIota("3 2 2 7"))) << "iota entry 7 adopted";
 }
 
 TEST(ShardWorker, UsageAndFaultExitCodes) {

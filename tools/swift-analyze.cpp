@@ -348,7 +348,7 @@ int main(int Argc, char **Argv) {
       GO.Config.AsyncBu = O.AsyncBu;
       GO.Config.Threads = O.Threads;
     }
-  } catch (const CheckpointLoadError &E) {
+  } catch (const LoadError &E) {
     // Malformed *input*, not a usage error: name the failing file and the
     // typed kind, and do not print the usage text. Exit code stays 2.
     std::fprintf(stderr, "swift-analyze: malformed checkpoint '%s': %s\n",
