@@ -15,7 +15,9 @@
 ///   --threads=N        worker threads per bottom-up solve (default 1)
 ///   --trace-out=F      write a Chrome/Perfetto trace of the whole bench
 ///                      run to F (flushed at exit; MANUAL section 9)
-///   --metrics-out=F    write a swift-metrics JSON snapshot to F
+///   --metrics-out=F    write a swift-metrics JSON snapshot to F; its
+///                      counters are the stats of every run the bench
+///                      recorded, summed
 ///   --json-out=F       write a machine-readable "swift-bench" v1 result
 ///                      (obs/BenchResult.h) to F; the perf-trajectory
 ///                      input of tools/swift-benchdiff (MANUAL section 10)
@@ -129,6 +131,13 @@ inline bool parseOptionsInto(int Argc, char **Argv, Options &O,
   return true;
 }
 
+/// The stats of every run a Reporter recorded in this invocation, summed:
+/// the counters of the --metrics-out snapshot.
+inline Stats &recordedStats() {
+  static Stats S;
+  return S;
+}
+
 /// Enables tracing/metrics per \p O and registers an atexit flusher, so
 /// every bench binary gets --trace-out/--metrics-out without per-main
 /// plumbing. An observability write failure warns on stderr only.
@@ -143,6 +152,11 @@ inline void initObservability(const Options &O) {
     obs::TraceRecorder::instance().start();
   if (!MetricsPath.empty())
     obs::MetricsRegistry::instance().enable();
+  // Construct what the flusher reads before registering it, so neither is
+  // destroyed before it runs: the summed stats and the process-wide
+  // counter-name registry (created by the first Stats::id).
+  (void)recordedStats();
+  (void)Stats::id("budget.td_steps");
   std::atexit(+[] {
     std::string Err;
     if (!TracePath.empty()) {
@@ -152,8 +166,8 @@ inline void initObservability(const Options &O) {
                      Err.c_str());
     }
     if (!MetricsPath.empty() &&
-        !obs::MetricsRegistry::instance().writeSnapshot(MetricsPath,
-                                                        nullptr, &Err))
+        !obs::MetricsRegistry::instance().writeSnapshot(
+            MetricsPath, &recordedStats(), &Err))
       std::fprintf(stderr, "warning: metrics write failed: %s\n",
                    Err.c_str());
   });
@@ -196,9 +210,8 @@ public:
   /// result sizes. Timeout rows keep their (budget-truncated) numbers
   /// for the record; swift-benchdiff skips them.
   void add(const std::string &Workload, const std::string &Config,
-           const TsRunResult &Res) {
-    obs::benchjson::Row &W = R.newRow(Workload, Config);
-    W.Timeout = Res.Timeout;
+           const RunCounts &Res) {
+    obs::benchjson::Row &W = addRow(Workload, Config, Res);
     W.set("seconds", Res.Seconds);
     W.set("steps", double(Res.Steps));
     W.set("td_summaries", double(Res.TdSummaries));
@@ -210,6 +223,17 @@ public:
   obs::benchjson::Row &addRow(const std::string &Workload,
                               const std::string &Config) {
     return R.newRow(Workload, Config);
+  }
+
+  /// A custom row for solver run \p Run: carries its timeout flag and
+  /// adds its stats to recordedStats().
+  obs::benchjson::Row &addRow(const std::string &Workload,
+                              const std::string &Config,
+                              const RunCounts &Run) {
+    recordedStats().merge(Run.Stat);
+    obs::benchjson::Row &W = R.newRow(Workload, Config);
+    W.Timeout = Run.Timeout;
+    return W;
   }
 
   /// Writes the result if --json-out was given. True when disabled or
@@ -241,7 +265,7 @@ inline RunLimits limits(const Options &O) {
 }
 
 /// "timeout" or a paper-style time like "4m44s" / "0.91s".
-inline std::string timeCell(const TsRunResult &R) {
+inline std::string timeCell(const RunCounts &R) {
   return R.Timeout ? "timeout" : formatSeconds(R.Seconds);
 }
 

@@ -21,9 +21,6 @@
 
 #include "BenchCommon.h"
 
-#include "framework/Tabulation.h"
-#include "typestate/TsAnalysis.h"
-
 #include <cstdio>
 
 using namespace swift;
@@ -31,41 +28,17 @@ using namespace swift::bench;
 
 namespace {
 
-struct AblationResult {
-  bool Timeout;
-  double Seconds;
-  uint64_t TdSummaries;
-  uint64_t Served;
-  size_t ErrorSites;
-};
+TsRunResult runVariant(const TsContext &Ctx, uint64_t K, uint64_t Theta,
+                       bool Manifest, const RunLimits &L) {
+  SwiftRunConfig SC;
+  SC.K = K;
+  SC.Theta = Theta;
+  SC.ObservationManifest = Manifest;
+  return runTypestateSwift(Ctx, SC, L);
+}
 
-AblationResult runVariant(const TsContext &Ctx, uint64_t K, uint64_t Theta,
-                          bool Manifest, const RunLimits &L) {
-  Budget Bud(L.MaxSteps, L.MaxSeconds);
-  Stats Stat;
-  TabulationSolver<TsAnalysis>::Config Cfg;
-  Cfg.K = K;
-  Cfg.Theta = Theta;
-  Cfg.ObservationManifest = Manifest;
-  TabulationSolver<TsAnalysis> Solver(Ctx, Ctx.program(), Ctx.callGraph(),
-                                      Cfg, Bud, Stat);
-  bool Finished = Solver.run();
-
-  std::set<SiteId> Errors;
-  TState Err = Ctx.spec().errorState();
-  Solver.forEachFact([&](ProcId, NodeId, const TsAbstractState &,
-                         const TsAbstractState &Cur) {
-    if (!Cur.isLambda() && Cur.tstate() == Err)
-      Errors.insert(Cur.site());
-  });
-  Solver.forEachObserved(
-      [&](ProcId, NodeId, const TsAbstractState &S) {
-        Errors.insert(S.site());
-      });
-
-  return AblationResult{!Finished, Bud.seconds(),
-                        Solver.totalTdSummaries(),
-                        Stat.get("td.bu_served_calls"), Errors.size()};
+uint64_t served(const TsRunResult &R) {
+  return R.Stat.get("td.bu_served_calls");
 }
 
 } // namespace
@@ -84,13 +57,12 @@ int main(int Argc, char **Argv) {
   TsContext Ctx(*Prog, Prog->symbols().intern("File"));
   Reporter Rep(O, "bench_ablation");
 
-  auto Record = [&](const std::string &Config, const AblationResult &R) {
-    auto &Row = Rep.addRow(Name, Config);
-    Row.Timeout = R.Timeout;
+  auto Record = [&](const std::string &Config, const TsRunResult &R) {
+    auto &Row = Rep.addRow(Name, Config, R);
     Row.set("seconds", R.Seconds);
     Row.set("td_summaries", double(R.TdSummaries));
-    Row.set("bu_served", double(R.Served));
-    Row.set("error_sites", double(R.ErrorSites));
+    Row.set("bu_served", double(served(R)));
+    Row.set("error_sites", double(R.ErrorSites.size()));
   };
 
   std::printf("Ablation (a): k x theta grid on %s (time; td-summaries)\n\n",
@@ -104,7 +76,7 @@ int main(int Argc, char **Argv) {
   for (uint64_t K : {2, 5, 20, 100}) {
     std::printf("%8llu |", static_cast<unsigned long long>(K));
     for (uint64_t Theta : {1, 2, 4, 8}) {
-      AblationResult R = runVariant(Ctx, K, Theta, true, L);
+      TsRunResult R = runVariant(Ctx, K, Theta, true, L);
       Record("swift_k" + std::to_string(K) + "_th" + std::to_string(Theta),
              R);
       char Cell[40];
@@ -125,13 +97,13 @@ int main(int Argc, char **Argv) {
   std::printf("%-10s %10s %12s %10s %8s\n", "variant", "time",
               "td-summaries", "bu-served", "errors");
   for (bool Manifest : {true, false}) {
-    AblationResult R = runVariant(Ctx, 5, 2, Manifest, L);
+    TsRunResult R = runVariant(Ctx, 5, 2, Manifest, L);
     Record(Manifest ? "manifest_on" : "manifest_off", R);
     std::printf("%-10s %10s %12s %10s %8zu\n",
-                Manifest ? "manifest" : "plain",
-                R.Timeout ? "timeout" : formatSeconds(R.Seconds).c_str(),
+                Manifest ? "manifest" : "plain", timeCell(R).c_str(),
                 Stats::formatThousands(R.TdSummaries).c_str(),
-                Stats::formatThousands(R.Served).c_str(), R.ErrorSites);
+                Stats::formatThousands(served(R)).c_str(),
+                R.ErrorSites.size());
   }
   std::printf("\nThe plain variant may serve more calls (weaker guard) "
               "but can miss error sites that only manifest on diverging "
@@ -146,7 +118,7 @@ int main(int Argc, char **Argv) {
     TsRunResult R = runTypestateSwift(Ctx, 5, 2, limits(O), Async, O.Threads);
     Rep.add(Name, Async ? "swift_k5_th2_async" : "swift_k5_th2_sync", R);
     std::printf("%-10s %10s %12s %10llu\n", Async ? "async" : "sync",
-                R.Timeout ? "timeout" : formatSeconds(R.Seconds).c_str(),
+                timeCell(R).c_str(),
                 Stats::formatThousands(R.TdSummaries).c_str(),
                 static_cast<unsigned long long>(
                     R.Stat.get("swift.bu_triggers")));

@@ -28,9 +28,7 @@ using namespace swift::clients;
 int main(int Argc, char **Argv) {
   Options O = parseOptions(Argc, Argv);
   Reporter Rep(O, "bench_clients");
-  DomainRunLimits L;
-  L.MaxSeconds = O.BudgetSeconds;
-  L.MaxSteps = O.BudgetSteps;
+  RunLimits L = limits(O);
 
   std::printf("Client domains on the shared workloads: TD vs BU vs SWIFT "
               "(k=5, theta=4), budget %.0fs\n\n",
@@ -55,26 +53,13 @@ int main(int Argc, char **Argv) {
       DomainRunResult Sw = runClientDomain(
           Domain, *Prog, DomainMode::Swift, 5, 4, O.Threads, L);
 
-      auto Record = [&](const std::string &Config,
-                        const DomainRunResult &R) {
-        auto &Row = Rep.addRow(W.Name, Domain + "/" + Config);
-        Row.Timeout = R.Timeout;
-        Row.set("seconds", R.Seconds);
-        Row.set("steps", double(R.Steps));
-        Row.set("td_summaries", double(R.TdSummaries));
-        Row.set("bu_relations", double(R.BuRelations));
-      };
-      Record("td", Td);
-      Record("bu", Bu);
-      Record("swift_k5_th4", Sw);
+      Rep.add(W.Name, Domain + "/td", Td);
+      Rep.add(W.Name, Domain + "/bu", Bu);
+      Rep.add(W.Name, Domain + "/swift_k5_th4", Sw);
 
-      auto Cell = [](const DomainRunResult &R) {
-        return R.Timeout ? std::string("timeout")
-                         : formatSeconds(R.Seconds);
-      };
       std::printf("%-10s %-10s | %9s %9s %9s | %8s %8s | %7zu\n",
-                  W.Name.c_str(), Domain.c_str(), Cell(Td).c_str(),
-                  Cell(Bu).c_str(), Cell(Sw).c_str(),
+                  W.Name.c_str(), Domain.c_str(), timeCell(Td).c_str(),
+                  timeCell(Bu).c_str(), timeCell(Sw).c_str(),
                   Stats::formatThousands(Sw.TdSummaries).c_str(),
                   Stats::formatThousands(Sw.BuRelations).c_str(),
                   Sw.Reports.size());

@@ -89,8 +89,7 @@ int main(int Argc, char **Argv) {
         std::string Cfg = "governed_";
         for (const char *P = T.Label; *P; ++P)
           Cfg += *P == '/' ? 'o' : *P;
-        auto &JR = Rep.addRow(W.Name, Cfg);
-        JR.Timeout = R.G.Partial;
+        auto &JR = Rep.addRow(W.Name, Cfg, R.G.Run);
         JR.set("seconds", R.G.Run.Seconds);
         JR.set("steps", double(R.G.Run.Steps));
         JR.set("unresolved",
@@ -116,5 +115,5 @@ int main(int Argc, char **Argv) {
               "tiers end at red pressure with BU minting suppressed "
               "(sound by the Sigma fallback), so their resolved verdicts "
               "are a subset of the full run's.\n");
-  return 0;
+  return Rep.flush() ? 0 : 1;
 }

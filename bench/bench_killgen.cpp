@@ -27,9 +27,7 @@ using namespace swift::bench;
 int main(int Argc, char **Argv) {
   Options O = parseOptions(Argc, Argv);
   Reporter Rep(O, "bench_killgen");
-  KgRunLimits L;
-  L.MaxSeconds = O.BudgetSeconds;
-  L.MaxSteps = O.BudgetSteps;
+  RunLimits L = limits(O);
 
   std::printf("Kill/gen (taint) instantiation: TD vs BU vs SWIFT "
               "(k=5, theta=4), budget %.0fs\n\n",
@@ -51,23 +49,13 @@ int main(int Argc, char **Argv) {
     KgRunResult Bu = runTaintBu(Ctx, L);
     KgRunResult Sw = runTaintSwift(Ctx, 5, 4, L);
 
-    auto Record = [&](const char *Config, const KgRunResult &R) {
-      auto &Row = Rep.addRow(W.Name, Config);
-      Row.Timeout = R.Timeout;
-      Row.set("seconds", R.Seconds);
-      Row.set("steps", double(R.Steps));
-      Row.set("td_summaries", double(R.TdSummaries));
-      Row.set("bu_relations", double(R.BuRelations));
-    };
-    Record("td", Td);
-    Record("bu", Bu);
-    Record("swift_k5_th4", Sw);
+    Rep.add(W.Name, "td", Td);
+    Rep.add(W.Name, "bu", Bu);
+    Rep.add(W.Name, "swift_k5_th4", Sw);
 
-    auto Cell = [](const KgRunResult &R) {
-      return R.Timeout ? std::string("timeout") : formatSeconds(R.Seconds);
-    };
     std::printf("%-10s | %9s %9s %9s | %8s %8s | %6zu\n", W.Name.c_str(),
-                Cell(Td).c_str(), Cell(Bu).c_str(), Cell(Sw).c_str(),
+                timeCell(Td).c_str(), timeCell(Bu).c_str(),
+                timeCell(Sw).c_str(),
                 Stats::formatThousands(Td.TdSummaries).c_str(),
                 Stats::formatThousands(Sw.TdSummaries).c_str(),
                 Sw.Leaks.size());

@@ -11,9 +11,6 @@
 #include "clients/ifds/ReachingDefsProblem.h"
 #include "clients/ifds/TaintProblem.h"
 #include "clients/interval/IntervalAnalysis.h"
-#include "framework/RelationalSolver.h"
-#include "framework/Tabulation.h"
-#include "support/Timer.h"
 
 #include <memory>
 #include <stdexcept>
@@ -55,118 +52,57 @@ std::set<Symbol> findAll(const SymbolTable &Syms,
 
 using Site = std::pair<ProcId, NodeId>;
 
-/// Shared tabulating path (pure TD and SWIFT): run, then normalize
-/// reports (fact-embedded sites + observation manifest) and main-exit
-/// facts. \p RS maps a state to its report site (nullopt for non-report
-/// states); \p FS renders a non-report, non-Lambda state.
-template <typename AN, typename ReportSiteFn, typename FactStrFn>
-DomainRunResult runTabulatingT(const typename AN::Context &Ctx, uint64_t K,
-                               uint64_t Theta, unsigned Threads,
-                               DomainRunLimits Limits, ReportSiteFn RS,
-                               FactStrFn FS) {
-  const Program &Prog = Ctx.program();
-  Budget Bud(Limits.MaxSteps, Limits.MaxSeconds);
-  Stats Stat;
-  typename TabulationSolver<AN>::Config Cfg;
-  Cfg.K = K;
-  Cfg.Theta = Theta;
-  Cfg.BuThreads = Threads;
-  TabulationSolver<AN> Solver(Ctx, Prog, Ctx.callGraph(), Cfg, Bud, Stat);
-  bool Finished = Solver.run();
-
-  DomainRunResult R;
-  R.Timeout = !Finished;
-  R.Seconds = Bud.seconds();
-  R.Steps = Bud.steps();
-  R.Stat = std::move(Stat);
-  R.TdSummaries = Solver.totalTdSummaries();
-  R.BuRelations = Solver.totalBuRelations();
-
-  const NodeId ExitN = Prog.proc(Prog.mainProc()).exit();
-  Solver.forEachFact([&](ProcId P, NodeId N, const typename AN::State &E,
-                         const typename AN::State &Cur) {
-    (void)E;
-    if (std::optional<Site> S = RS(Cur)) {
-      R.Reports.insert(*S);
-      return;
-    }
-    if (P == Prog.mainProc() && N == ExitN && !AN::isLambda(Cur))
-      R.ExitFacts.insert(FS(Cur));
-  });
-  Solver.forEachObserved(
-      [&](ProcId P, NodeId N, const typename AN::State &S) {
-        (void)P;
-        (void)N;
-        if (std::optional<Site> Where = RS(S))
-          R.Reports.insert(*Where);
-      });
-  return R;
-}
-
-/// Pure bottom-up path: unpruned summaries for everything reachable from
-/// main, then instantiate main's summary on Lambda.
-template <typename AN, typename ReportSiteFn, typename FactStrFn>
-DomainRunResult runBuT(const typename AN::Context &Ctx, unsigned Threads,
-                       DomainRunLimits Limits, ReportSiteFn RS,
-                       FactStrFn FS) {
-  const Program &Prog = Ctx.program();
-  Budget Bud(Limits.MaxSteps, Limits.MaxSeconds);
-  Stats Stat;
-  RelationalSolver<AN> Solver(
-      Ctx, Prog, Ctx.callGraph(), NoPruning,
-      [](ProcId) -> const std::unordered_map<typename AN::State,
-                                             uint64_t> * {
-        return nullptr;
-      },
-      Bud, Stat, DefaultMaxRelsPerPoint, /*CollectObservations=*/true,
-      Threads);
-
-  std::vector<ProcId> All = Ctx.callGraph().reachableFrom(Prog.mainProc());
-  bool Finished = Solver.run(All);
-
-  DomainRunResult R;
-  R.Timeout = !Finished;
-  R.Seconds = Bud.seconds();
-  R.Steps = Bud.steps();
-  R.Stat = std::move(Stat);
-  R.BuRelations = Solver.totalRelations();
-  if (!Finished)
-    return R;
-
-  const auto &Main = Solver.summary(Prog.mainProc());
-  for (const typename AN::Rel &Rel : Main.Rels)
-    if (std::optional<typename AN::State> Out =
-            AN::applyRel(Ctx, Rel, AN::lambda())) {
-      if (std::optional<Site> S = RS(*Out))
-        R.Reports.insert(*S);
-      else if (!AN::isLambda(*Out))
-        R.ExitFacts.insert(FS(*Out));
-    }
-  // Observation relations reach *internal* points, so only their
-  // observable outputs count (as reports), never as exit facts.
-  for (const typename AN::Rel &Rel : Main.ObsRels)
-    if (std::optional<typename AN::State> Out =
-            AN::applyRel(Ctx, Rel, AN::lambda()))
-      if (std::optional<Site> S = RS(*Out))
-        R.Reports.insert(*S);
-  return R;
-}
-
+/// Runs one domain in \p Mode through the shared driver and normalizes
+/// the results: report sites (fact-embedded sites plus the observation
+/// manifest) and non-report facts at main's exit. \p RS maps a state to
+/// its report site (nullopt for non-report states); \p FS renders a
+/// non-report, non-Lambda state.
 template <typename AN, typename ReportSiteFn, typename FactStrFn>
 DomainRunResult runModeT(const typename AN::Context &Ctx, DomainMode Mode,
                          uint64_t K, uint64_t Theta, unsigned Threads,
-                         DomainRunLimits Limits, ReportSiteFn RS,
-                         FactStrFn FS) {
-  switch (Mode) {
-  case DomainMode::Td:
-    return runTabulatingT<AN>(Ctx, NoBuTrigger, 1, Threads, Limits, RS,
-                              FS);
-  case DomainMode::Swift:
-    return runTabulatingT<AN>(Ctx, K, Theta, Threads, Limits, RS, FS);
-  case DomainMode::Bu:
-    return runBuT<AN>(Ctx, Threads, Limits, RS, FS);
+                         RunLimits Limits, ReportSiteFn RS, FactStrFn FS) {
+  using State = typename AN::State;
+  const Program &Prog = Ctx.program();
+  DomainRunResult R;
+  auto Report = [&](const State &S) {
+    std::optional<Site> Where = RS(S);
+    if (Where)
+      R.Reports.insert(*Where);
+    return Where.has_value();
+  };
+  auto AtMainExit = [&](const State &S) {
+    if (!Report(S) && !AN::isLambda(S))
+      R.ExitFacts.insert(FS(S));
+  };
+
+  if (Mode == DomainMode::Bu) {
+    runPureBu<AN>(Ctx, Limits, Threads, R,
+                  [&](const typename RelationalSolver<AN>::Summary &Main) {
+                    // Observation relations reach *internal* points, so
+                    // only their reports count, never as exit facts.
+                    forEachMainOutput<AN>(Ctx, Main, AtMainExit, Report);
+                  });
+    return R;
   }
-  return {};
+
+  typename TabulationSolver<AN>::Config Cfg;
+  Cfg.K = Mode == DomainMode::Td ? NoBuTrigger : K;
+  Cfg.Theta = Mode == DomainMode::Td ? 1 : Theta;
+  Cfg.BuThreads = Threads;
+  const NodeId ExitN = Prog.proc(Prog.mainProc()).exit();
+  runTabulation<AN>(Ctx, Cfg, Limits, R,
+                    [&](const TabulationSolver<AN> &Solver) {
+                      Solver.forEachFact([&](ProcId P, NodeId N,
+                                             const State &, const State &Cur) {
+                        if (P == Prog.mainProc() && N == ExitN)
+                          AtMainExit(Cur);
+                        else
+                          Report(Cur);
+                      });
+                      Solver.forEachObserved(
+                          [&](ProcId, NodeId, const State &S) { Report(S); });
+                    });
+  return R;
 }
 
 std::unique_ptr<ifds::IfdsProblem> makeProblem(const std::string &Domain,
@@ -195,7 +131,7 @@ DomainRunResult clients::runClientDomain(const std::string &Domain,
                                          const Program &Prog,
                                          DomainMode Mode, uint64_t K,
                                          uint64_t Theta, unsigned Threads,
-                                         DomainRunLimits Limits) {
+                                         RunLimits Limits) {
   if (Domain == "interval") {
     interval::IvContext Ctx(Prog);
     auto RS = [](const interval::IvFact &F) -> std::optional<Site> {

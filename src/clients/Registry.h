@@ -31,8 +31,8 @@
 #ifndef SWIFT_CLIENTS_REGISTRY_H
 #define SWIFT_CLIENTS_REGISTRY_H
 
+#include "framework/RunDriver.h"
 #include "ir/Program.h"
-#include "support/Stats.h"
 
 #include <set>
 #include <string>
@@ -44,23 +44,15 @@ namespace clients {
 
 enum class DomainMode { Td, Swift, Bu };
 
-struct DomainRunLimits {
-  uint64_t MaxSteps = UINT64_MAX;
-  double MaxSeconds = 1e18;
-};
-
-struct DomainRunResult {
-  bool Timeout = false;
-  double Seconds = 0;
-  uint64_t Steps = 0;
-  uint64_t TdSummaries = 0;
-  uint64_t BuRelations = 0;
+/// A client-domain run's result. A run that ran out of budget keeps the
+/// counts it reached and, in the TD and SWIFT modes, the findings
+/// harvested so far.
+struct DomainRunResult : RunCounts {
   /// Report sites: (proc, node) of the originating command, mode- and
   /// thread-invariant.
   std::set<std::pair<ProcId, NodeId>> Reports;
   /// Non-report facts at main's exit, in the domain's factText format.
   std::set<std::string> ExitFacts;
-  Stats Stat;
 };
 
 /// The registered domain names, in presentation order:
@@ -79,8 +71,7 @@ std::set<Symbol> taintSinkMethods(const Program &Prog);
 DomainRunResult runClientDomain(const std::string &Domain,
                                 const Program &Prog, DomainMode Mode,
                                 uint64_t K, uint64_t Theta,
-                                unsigned Threads,
-                                DomainRunLimits Limits = {});
+                                unsigned Threads, RunLimits Limits = {});
 
 } // namespace clients
 } // namespace swift

@@ -57,17 +57,19 @@ std::string swift::difftest::writeReproducer(const std::string &OutDir,
 }
 
 OracleResult swift::difftest::replayFile(const std::string &Path,
-                                         const OracleOptions &Opts) {
+                                         const ProgramOracle &Oracle,
+                                         uint64_t InterpSeed) {
   std::ifstream IS(Path);
   if (!IS)
     throw std::runtime_error("cannot open '" + Path + "'");
   std::ostringstream Buf;
   Buf << IS.rdbuf();
   std::unique_ptr<Program> Prog = parseProgramText(Buf.str());
-  return runOracle(*Prog, Opts);
+  return Oracle(*Prog, InterpSeed);
 }
 
 CampaignResult swift::difftest::runCampaign(const CampaignOptions &Opts,
+                                            const ProgramOracle &Oracle,
                                             std::ostream &Log) {
   CampaignResult Res;
   Timer Wall;
@@ -80,9 +82,8 @@ CampaignResult swift::difftest::runCampaign(const CampaignOptions &Opts,
     }
     std::unique_ptr<Program> Prog =
         generateFuzzProgram(fuzzConfigForSeed(Seed));
-    OracleOptions OO = Opts.Oracle;
-    OO.InterpSeed = Seed * 1013 + 1; // decorrelate from the fuzz seed
-    OracleResult OR = runOracle(*Prog, OO);
+    uint64_t InterpSeed = Seed * 1013 + 1; // decorrelate from the fuzz seed
+    OracleResult OR = Oracle(*Prog, InterpSeed);
     ++Res.SeedsRun;
     if (OR.ReferenceTimedOut)
       ++Res.ExhaustedSeeds;
@@ -99,9 +100,9 @@ CampaignResult swift::difftest::runCampaign(const CampaignOptions &Opts,
 
     std::string Text;
     if (Opts.ReduceViolations) {
-      ReduceOptions RO = Opts.Reduce;
-      RO.Oracle = OO;
-      ReduceResult RR = reduceViolation(*Prog, Rep.First.Kind, RO);
+      ReduceResult RR =
+          reduceViolation(*Prog, Rep.First.Kind, Oracle, InterpSeed,
+                          Opts.ReduceMaxRounds, Opts.ReduceMaxRuns);
       Text = std::move(RR.Text);
       Rep.ReducedProcs = RR.NumProcs;
       Rep.ReducedStmts = RR.NumStmts;

@@ -7,10 +7,13 @@
 /// \file
 /// The differential-testing campaign: generate fuzz programs over a range
 /// of seeds (reusing genprog's chaotic fuzzer with per-seed size knobs),
-/// run the oracle on each, and on a violation reduce the program and write
+/// run an oracle on each, and on a violation reduce the program and write
 /// a self-contained reproducer — the swift-ir text plus the violation
-/// header — under an output directory. Reproducers replay with
-/// swift-difftest --replay=FILE or via the tests/corpus ctest target.
+/// header — under an output directory. The loop and the replay take the
+/// oracle as a parameter: the typestate oracle (typestateOracle) and each
+/// client domain's (difftest/DomainOracle.h, domainOracle) run through
+/// the same code. Reproducers replay with swift-difftest --replay=FILE or
+/// via the tests/corpus ctest targets.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,9 +34,11 @@ namespace difftest {
 struct CampaignOptions {
   uint64_t FirstSeed = 1;
   uint64_t NumSeeds = 50;
-  OracleOptions Oracle;
-  ReduceOptions Reduce;
   bool ReduceViolations = true;
+  /// Reducer passes over the mutation phases, and its cap on oracle runs
+  /// (see reduceViolation).
+  size_t ReduceMaxRounds = 4;
+  size_t ReduceMaxRuns = 400;
   /// Where reproducers are written; created if missing. Empty disables
   /// writing.
   std::string OutDir = "results/repros";
@@ -67,8 +72,11 @@ struct CampaignResult {
 /// covers small dense programs and wider call graphs alike.
 FuzzConfig fuzzConfigForSeed(uint64_t Seed);
 
-/// Runs the campaign, logging one line per violating seed to \p Log.
-CampaignResult runCampaign(const CampaignOptions &Opts, std::ostream &Log);
+/// Runs \p Oracle over the campaign's seeds, logging one line per
+/// violating seed to \p Log. A violating seed's program reduces while
+/// \p Oracle keeps reporting a violation of its first violation's kind.
+CampaignResult runCampaign(const CampaignOptions &Opts,
+                           const ProgramOracle &Oracle, std::ostream &Log);
 
 /// Writes a self-contained reproducer (violation header as comments +
 /// swift-ir text) and returns its path; empty string on I/O failure.
@@ -76,10 +84,11 @@ std::string writeReproducer(const std::string &OutDir, uint64_t Seed,
                             const Violation &V,
                             const std::string &ProgramText);
 
-/// Replays a reproducer (or any swift-ir file): parses it and runs the
-/// oracle. Throws std::runtime_error on unreadable/malformed input.
-OracleResult replayFile(const std::string &Path,
-                        const OracleOptions &Opts);
+/// Replays a reproducer (or any swift-ir file): parses it and runs
+/// \p Oracle with concrete schedules seeded from \p InterpSeed. Throws
+/// std::runtime_error on unreadable/malformed input.
+OracleResult replayFile(const std::string &Path, const ProgramOracle &Oracle,
+                        uint64_t InterpSeed = 1);
 
 } // namespace difftest
 } // namespace swift

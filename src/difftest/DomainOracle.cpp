@@ -7,10 +7,7 @@
 #include "difftest/DomainOracle.h"
 
 #include "clients/Concrete.h"
-#include "ir/Dumper.h"
-#include "support/Timer.h"
 
-#include <fstream>
 #include <optional>
 #include <sstream>
 
@@ -115,11 +112,10 @@ void checkDeterminism(const Program &Prog, const DomainRunResult &Base,
 
 } // namespace
 
-DomainOracleResult
-swift::difftest::runDomainOracle(const std::string &Domain,
-                                 const Program &Prog,
-                                 const DomainOracleOptions &Opts) {
-  DomainOracleResult R;
+OracleResult swift::difftest::runDomainOracle(const std::string &Domain,
+                                             const Program &Prog,
+                                             const DomainOracleOptions &Opts) {
+  OracleResult R;
 
   auto run = [&](DomainMode Mode, uint64_t K, uint64_t Theta,
                  unsigned Threads) -> std::optional<DomainRunResult> {
@@ -220,81 +216,11 @@ swift::difftest::runDomainOracle(const std::string &Domain,
   return R;
 }
 
-CampaignResult
-swift::difftest::runDomainCampaign(const DomainCampaignOptions &Opts,
-                                   std::ostream &Log) {
-  CampaignResult Res;
-  Timer Wall;
-
-  for (uint64_t Seed = Opts.FirstSeed;
-       Seed != Opts.FirstSeed + Opts.NumSeeds; ++Seed) {
-    if (Wall.seconds() > Opts.BudgetSeconds) {
-      Res.StoppedOnBudget = true;
-      break;
-    }
-    std::unique_ptr<Program> Prog =
-        generateFuzzProgram(fuzzConfigForSeed(Seed));
-    DomainOracleOptions OO = Opts.Oracle;
-    OO.InterpSeed = Seed * 1013 + 1; // decorrelate from the fuzz seed
-    DomainOracleResult OR = runDomainOracle(Opts.Domain, *Prog, OO);
-    ++Res.SeedsRun;
-    if (OR.ReferenceTimedOut)
-      ++Res.ExhaustedSeeds;
-    if (OR.clean())
-      continue;
-
-    SeedReport Rep;
-    Rep.Seed = Seed;
-    Rep.First = OR.Violations.front();
-    Rep.NumViolations = OR.Violations.size();
-    Log << "seed " << Seed << ": " << OR.Violations.size()
-        << " violation(s); first: [" << checkKindName(Rep.First.Kind)
-        << "] " << Rep.First.Config << ": " << Rep.First.Detail << "\n";
-
-    std::string Text;
-    if (Opts.ReduceViolations) {
-      CheckKind Kind = Rep.First.Kind;
-      ReduceResult RR = reducePredicate(
-          *Prog,
-          [&](const Program &Cand) {
-            DomainOracleResult C = runDomainOracle(Opts.Domain, Cand, OO);
-            for (const Violation &V : C.Violations)
-              if (V.Kind == Kind)
-                return true;
-            return false;
-          },
-          Opts.ReduceMaxRounds, Opts.ReduceMaxRuns);
-      Text = std::move(RR.Text);
-      Rep.ReducedProcs = RR.NumProcs;
-      Rep.ReducedStmts = RR.NumStmts;
-      Log << "  reduced to " << RR.NumProcs << " proc(s), " << RR.NumStmts
-          << " stmt(s) in " << RR.OracleRuns << " oracle runs\n";
-    } else {
-      Text = programToText(*Prog);
-      Rep.ReducedProcs = Prog->numProcs();
-    }
-
-    if (!Opts.OutDir.empty()) {
-      Rep.ReproPath = writeReproducer(Opts.OutDir, Seed, Rep.First, Text);
-      if (!Rep.ReproPath.empty())
-        Log << "  reproducer: " << Rep.ReproPath << "\n";
-      else
-        Log << "  failed to write reproducer under " << Opts.OutDir << "\n";
-    }
-    Res.BadSeeds.push_back(std::move(Rep));
-  }
-  return Res;
-}
-
-DomainOracleResult
-swift::difftest::replayDomainFile(const std::string &Path,
-                                  const std::string &Domain,
-                                  const DomainOracleOptions &Opts) {
-  std::ifstream IS(Path);
-  if (!IS)
-    throw std::runtime_error("cannot open '" + Path + "'");
-  std::ostringstream Buf;
-  Buf << IS.rdbuf();
-  std::unique_ptr<Program> Prog = parseProgramText(Buf.str());
-  return runDomainOracle(Domain, *Prog, Opts);
+ProgramOracle swift::difftest::domainOracle(const std::string &Domain,
+                                           const DomainOracleOptions &Opts) {
+  return [Domain, Opts](const Program &Prog, uint64_t InterpSeed) {
+    DomainOracleOptions OO = Opts;
+    OO.InterpSeed = InterpSeed;
+    return runDomainOracle(Domain, Prog, OO);
+  };
 }

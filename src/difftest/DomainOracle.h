@@ -23,10 +23,10 @@
 ///  * Thread determinism — runs differing only in worker count agree in
 ///    report sites, exit facts, and summary/relation counts.
 ///
-/// Reuses difftest's Violation/CheckKind vocabulary and CampaignResult
-/// shape, so reproducers, reduction, and tooling handle both oracles
-/// uniformly; violating campaign seeds reduce through reducePredicate with
-/// this oracle as the interestingness test.
+/// Reuses difftest's Violation/CheckKind vocabulary and OracleResult, and
+/// runs through difftest's one campaign loop, reducer and replay
+/// (domainOracle), so reproducers and tooling handle both oracles
+/// uniformly.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,63 +38,33 @@
 #include "difftest/Oracle.h"
 #include "ir/Program.h"
 
-#include <ostream>
 #include <string>
-#include <vector>
 
 namespace swift {
 namespace difftest {
 
 struct DomainOracleOptions {
   /// Budget per analysis run; timed-out runs are skipped, not failed.
-  clients::DomainRunLimits Limits{2'000'000, 10.0};
+  RunLimits Limits{2'000'000, 10.0};
   /// Concrete witness schedules unioned into the ground truth.
   unsigned Schedules = 8;
   uint64_t InterpSeed = 1;
   uint64_t InterpMaxSteps = 20'000;
 };
 
-struct DomainOracleResult {
-  std::vector<Violation> Violations;
-  unsigned RunsDone = 0;
-  unsigned RunsTimedOut = 0;
-  /// The TD reference itself timed out; every check was skipped.
-  bool ReferenceTimedOut = false;
-  bool clean() const { return Violations.empty(); }
-};
+/// Runs the matrix and all checks for \p Domain on \p Prog (ConcreteErrors
+/// stays empty: the witness reports (proc, node) sites, not allocation
+/// sites). Throws std::runtime_error for an unregistered domain.
+OracleResult runDomainOracle(const std::string &Domain, const Program &Prog,
+                             const DomainOracleOptions &Opts);
 
-/// Runs the matrix and all checks for \p Domain on \p Prog. Throws
-/// std::runtime_error for an unregistered domain.
-DomainOracleResult runDomainOracle(const std::string &Domain,
-                                   const Program &Prog,
-                                   const DomainOracleOptions &Opts);
-
-struct DomainCampaignOptions {
-  std::string Domain = "taint";
-  uint64_t FirstSeed = 1;
-  uint64_t NumSeeds = 40;
-  DomainOracleOptions Oracle;
-  bool ReduceViolations = true;
-  size_t ReduceMaxRounds = 4;
-  size_t ReduceMaxRuns = 200;
-  /// Where reproducers are written; empty disables writing.
-  std::string OutDir = "results/repros";
-  double BudgetSeconds = 1e18;
-};
-
-/// Fuzz-campaign over \p Opts.NumSeeds seeds (the same fuzzConfigForSeed
-/// shapes as the typestate campaign), one line per violating seed to
-/// \p Log. Violation config strings (and thus reproducer headers) begin
-/// with the domain name ("taint/swift/k1/theta2/th4"), so a reproducer
-/// records which domain to replay it under.
-CampaignResult runDomainCampaign(const DomainCampaignOptions &Opts,
-                                 std::ostream &Log);
-
-/// Replays a reproducer (or any swift-ir file) under \p Domain's oracle.
-/// Throws std::runtime_error on unreadable/malformed input.
-DomainOracleResult replayDomainFile(const std::string &Path,
-                                    const std::string &Domain,
-                                    const DomainOracleOptions &Opts);
+/// runDomainOracle for \p Domain with \p Opts, as a campaign or replay
+/// oracle; the driver's InterpSeed replaces Opts.InterpSeed. Violation
+/// config strings (and thus reproducer headers) begin with the domain
+/// name ("taint/swift/k1/theta2/th4"), so a reproducer records which
+/// domain to replay it under.
+ProgramOracle domainOracle(const std::string &Domain,
+                           const DomainOracleOptions &Opts);
 
 } // namespace difftest
 } // namespace swift

@@ -742,3 +742,11 @@ OracleResult swift::difftest::runOracle(const Program &Prog,
   OracleRun R(Prog, Opts);
   return R.run();
 }
+
+ProgramOracle swift::difftest::typestateOracle(const OracleOptions &Opts) {
+  return [Opts](const Program &Prog, uint64_t InterpSeed) {
+    OracleOptions OO = Opts;
+    OO.InterpSeed = InterpSeed;
+    return runOracle(Prog, OO);
+  };
+}

@@ -32,6 +32,7 @@
 #include "ir/Program.h"
 #include "typestate/Runner.h"
 
+#include <functional>
 #include <set>
 #include <string>
 #include <vector>
@@ -121,6 +122,15 @@ struct OracleResult {
 /// Runs the full matrix and all checks on \p Prog. Throws
 /// std::runtime_error if the program declares no typestate spec.
 OracleResult runOracle(const Program &Prog, const OracleOptions &Opts);
+
+/// An oracle as the campaign, reducer and replay drivers see it: checks
+/// one program, seeding its concrete schedules from \p InterpSeed.
+using ProgramOracle =
+    std::function<OracleResult(const Program &Prog, uint64_t InterpSeed)>;
+
+/// The typestate oracle, runOracle with \p Opts; the driver's InterpSeed
+/// replaces Opts.InterpSeed.
+ProgramOracle typestateOracle(const OracleOptions &Opts);
 
 } // namespace difftest
 } // namespace swift

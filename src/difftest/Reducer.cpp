@@ -452,23 +452,17 @@ ReduceResult Reducer::run(const Program &Seed) {
 
 ReduceResult swift::difftest::reduceViolation(const Program &Prog,
                                               CheckKind Kind,
-                                              const ReduceOptions &Opts) {
-  return reducePredicate(
-      Prog,
+                                              const ProgramOracle &Oracle,
+                                              uint64_t InterpSeed,
+                                              size_t MaxRounds,
+                                              size_t MaxRuns) {
+  Reducer R(
       [&](const Program &Cand) {
-        OracleResult R = runOracle(Cand, Opts.Oracle);
-        for (const Violation &V : R.Violations)
+        for (const Violation &V : Oracle(Cand, InterpSeed).Violations)
           if (V.Kind == Kind)
             return true;
         return false;
       },
-      Opts.MaxRounds, Opts.MaxOracleRuns);
-}
-
-ReduceResult swift::difftest::reducePredicate(
-    const Program &Prog,
-    const std::function<bool(const Program &)> &StillFails,
-    size_t MaxRounds, size_t MaxRuns) {
-  Reducer R(StillFails, MaxRounds, MaxRuns);
+      MaxRounds, MaxRuns);
   return R.run(Prog);
 }

@@ -24,22 +24,10 @@
 #include "ir/Program.h"
 
 #include <cstddef>
-#include <functional>
 #include <string>
 
 namespace swift {
 namespace difftest {
-
-struct ReduceOptions {
-  /// Oracle configuration used by the interestingness test. Keep the
-  /// limits small: the oracle runs once per candidate.
-  OracleOptions Oracle;
-  /// Passes over all mutation phases; each pass runs every phase to a
-  /// greedy fixpoint, so a couple of rounds normally suffice.
-  size_t MaxRounds = 4;
-  /// Hard cap on oracle evaluations (the expensive part).
-  size_t MaxOracleRuns = 400;
-};
 
 struct ReduceResult {
   std::string Text;     ///< Reduced program, swift-ir v1 format.
@@ -48,23 +36,17 @@ struct ReduceResult {
   size_t OracleRuns = 0;
 };
 
-/// Shrinks \p Prog while runOracle keeps reporting a violation of kind
-/// \p Kind. \p Prog itself must exhibit such a violation; if it does not,
-/// the input is returned unreduced.
+/// Shrinks \p Prog while \p Oracle, with concrete schedules seeded from
+/// \p InterpSeed, keeps reporting a violation of kind \p Kind. \p Prog
+/// itself must exhibit such a violation; if it does not, the input is
+/// returned unreduced. The oracle runs are the expensive part: \p MaxRuns
+/// caps them and \p MaxRounds the passes over the mutation phases, so
+/// keep the oracle's limits small. Candidates that fail to re-parse or
+/// are not CFG-sane are rejected without consuming a run.
 ReduceResult reduceViolation(const Program &Prog, CheckKind Kind,
-                             const ReduceOptions &Opts);
-
-/// The generic core behind reduceViolation: shrinks \p Prog while
-/// \p StillFails keeps returning true on the candidate. The predicate is
-/// the expensive part; \p MaxRuns caps its evaluations and \p MaxRounds
-/// the passes over the mutation phases. Candidates that fail to re-parse
-/// or are not CFG-sane are rejected without consuming a run. Used by the
-/// per-domain oracle campaign, whose interestingness test is a domain
-/// check rather than the typestate oracle.
-ReduceResult
-reducePredicate(const Program &Prog,
-                const std::function<bool(const Program &)> &StillFails,
-                size_t MaxRounds = 4, size_t MaxRuns = 400);
+                             const ProgramOracle &Oracle,
+                             uint64_t InterpSeed, size_t MaxRounds = 4,
+                             size_t MaxRuns = 400);
 
 } // namespace difftest
 } // namespace swift

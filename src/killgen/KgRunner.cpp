@@ -6,98 +6,52 @@
 
 #include "killgen/KgRunner.h"
 
-#include "framework/RelationalSolver.h"
-#include "framework/Tabulation.h"
-
 using namespace swift;
 
 namespace {
 
+void reportLeak(KgRunResult &R, const KgFact &F) {
+  if (F.K == KgFact::Kind::Leak)
+    R.Leaks.insert({F.Proc, F.Node});
+}
+
 KgRunResult runTabulating(const KgContext &Ctx, uint64_t K, uint64_t Theta,
-                          KgRunLimits Limits, unsigned Threads = 1) {
-  Budget Bud(Limits.MaxSteps, Limits.MaxSeconds);
-  Stats Stat;
+                          RunLimits Limits, unsigned Threads = 1) {
   TabulationSolver<KgAnalysis>::Config Cfg;
   Cfg.K = K;
   Cfg.Theta = Theta;
   Cfg.BuThreads = Threads;
-  TabulationSolver<KgAnalysis> Solver(Ctx, Ctx.program(), Ctx.callGraph(),
-                                      Cfg, Bud, Stat);
-  bool Finished = Solver.run();
-
   KgRunResult R;
-  R.Timeout = !Finished;
-  R.Seconds = Bud.seconds();
-  R.Steps = Bud.steps();
-  R.Stat = std::move(Stat);
-  R.TdSummaries = Solver.totalTdSummaries();
-  R.BuRelations = Solver.totalBuRelations();
-  Solver.forEachFact([&](ProcId P, NodeId N, const KgFact &Entry,
-                         const KgFact &Cur) {
-    (void)P;
-    (void)N;
-    (void)Entry;
-    if (Cur.K == KgFact::Kind::Leak)
-      R.Leaks.insert({Cur.Proc, Cur.Node});
-  });
-  Solver.forEachObserved([&](ProcId P, NodeId N, const KgFact &S) {
-    (void)P;
-    (void)N;
-    if (S.K == KgFact::Kind::Leak)
-      R.Leaks.insert({S.Proc, S.Node});
-  });
+  runTabulation<KgAnalysis>(
+      Ctx, Cfg, Limits, R, [&](const TabulationSolver<KgAnalysis> &Solver) {
+        Solver.forEachFact([&](ProcId, NodeId, const KgFact &,
+                               const KgFact &Cur) { reportLeak(R, Cur); });
+        Solver.forEachObserved(
+            [&](ProcId, NodeId, const KgFact &S) { reportLeak(R, S); });
+      });
   return R;
 }
 
 } // namespace
 
-KgRunResult swift::runTaintTd(const KgContext &Ctx, KgRunLimits Limits) {
+KgRunResult swift::runTaintTd(const KgContext &Ctx, RunLimits Limits) {
   return runTabulating(Ctx, NoBuTrigger, 1, Limits);
 }
 
 KgRunResult swift::runTaintSwift(const KgContext &Ctx, uint64_t K,
-                                 uint64_t Theta, KgRunLimits Limits,
+                                 uint64_t Theta, RunLimits Limits,
                                  unsigned Threads) {
   return runTabulating(Ctx, K, Theta, Limits, Threads);
 }
 
-KgRunResult swift::runTaintBu(const KgContext &Ctx, KgRunLimits Limits,
+KgRunResult swift::runTaintBu(const KgContext &Ctx, RunLimits Limits,
                               unsigned Threads) {
-  const Program &Prog = Ctx.program();
-  Budget Bud(Limits.MaxSteps, Limits.MaxSeconds);
-  Stats Stat;
-  RelationalSolver<KgAnalysis> Solver(
-      Ctx, Prog, Ctx.callGraph(), NoPruning,
-      [](ProcId) -> const std::unordered_map<KgFact, uint64_t> * {
-        return nullptr;
-      },
-      Bud, Stat, DefaultMaxRelsPerPoint, /*CollectObservations=*/true,
-      Threads);
-
-  std::vector<ProcId> All = Ctx.callGraph().reachableFrom(Prog.mainProc());
-  bool Finished = Solver.run(All);
-
   KgRunResult R;
-  R.Timeout = !Finished;
-  R.Seconds = Bud.seconds();
-  R.Steps = Bud.steps();
-  R.Stat = std::move(Stat);
-  R.BuRelations = Solver.totalRelations();
-  if (!Finished)
-    return R;
-
-  const auto &Main = Solver.summary(Prog.mainProc());
-  auto Report = [&R](const KgFact &F) {
-    if (F.K == KgFact::Kind::Leak)
-      R.Leaks.insert({F.Proc, F.Node});
-  };
-  for (const KgRel &Rel : Main.Rels)
-    if (std::optional<KgFact> Out =
-            KgAnalysis::applyRel(Ctx, Rel, KgFact::lambda()))
-      Report(*Out);
-  for (const KgRel &Rel : Main.ObsRels)
-    if (std::optional<KgFact> Out =
-            KgAnalysis::applyRel(Ctx, Rel, KgFact::lambda()))
-      Report(*Out);
+  auto Report = [&R](const KgFact &F) { reportLeak(R, F); };
+  runPureBu<KgAnalysis>(
+      Ctx, Limits, Threads, R,
+      [&](const RelationalSolver<KgAnalysis>::Summary &Main) {
+        forEachMainOutput<KgAnalysis>(Ctx, Main, Report, Report);
+      });
   return R;
 }

@@ -14,37 +14,25 @@
 #ifndef SWIFT_KILLGEN_KGRUNNER_H
 #define SWIFT_KILLGEN_KGRUNNER_H
 
+#include "framework/RunDriver.h"
 #include "killgen/KgAnalysis.h"
-#include "support/Stats.h"
-#include "support/Timer.h"
 
 #include <set>
 #include <utility>
 
 namespace swift {
 
-struct KgRunLimits {
-  uint64_t MaxSteps = UINT64_MAX;
-  double MaxSeconds = 1e18;
-};
-
-struct KgRunResult {
-  bool Timeout = false;
-  double Seconds = 0;
-  uint64_t Steps = 0;
-  uint64_t TdSummaries = 0;
-  uint64_t BuRelations = 0;
+struct KgRunResult : RunCounts {
   /// Sink call sites reachable by tainted receivers: (proc, node).
   std::set<std::pair<ProcId, NodeId>> Leaks;
-  Stats Stat;
 };
 
-KgRunResult runTaintTd(const KgContext &Ctx, KgRunLimits Limits = {});
+KgRunResult runTaintTd(const KgContext &Ctx, RunLimits Limits = {});
 /// \p Threads is the worker count of each triggered bottom-up solve
 /// (SCC-DAG wavefront); results are identical for every value.
 KgRunResult runTaintSwift(const KgContext &Ctx, uint64_t K, uint64_t Theta,
-                          KgRunLimits Limits = {}, unsigned Threads = 1);
-KgRunResult runTaintBu(const KgContext &Ctx, KgRunLimits Limits = {},
+                          RunLimits Limits = {}, unsigned Threads = 1);
+KgRunResult runTaintBu(const KgContext &Ctx, RunLimits Limits = {},
                        unsigned Threads = 1);
 
 } // namespace swift

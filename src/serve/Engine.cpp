@@ -6,7 +6,6 @@
 
 #include "serve/Engine.h"
 
-#include "framework/RelationalSolver.h"
 #include "ir/Dumper.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
@@ -231,13 +230,8 @@ EditResult ServeEngine::solveAndCommit(std::unique_ptr<Program> NewProg,
       Limits.MaxSeconds = static_cast<double>(DeadlineMs) / 1000.0;
     ResourceGovernor Gov(Limits);
     Stats Stat;
-    RelationalSolver<TsAnalysis> Solver(
-        C, Pr, C.callGraph(), NoPruning,
-        [](ProcId) -> const std::unordered_map<TsAbstractState, uint64_t> * {
-          return nullptr;
-        },
-        Gov.budget(), Stat, Opt.MaxRelsPerPoint,
-        /*CollectObservations=*/true, /*NumThreads=*/1, &Gov);
+    RelationalSolver<TsAnalysis> Solver = makePureBuSolver<TsAnalysis>(
+        C, Gov.budget(), Stat, /*Threads=*/1, Opt.MaxRelsPerPoint, &Gov);
     for (ProcId P = 0; P != Pr.numProcs(); ++P)
       if (NewPS[P].Valid)
         Solver.installSummary(P, NewPS[P].Sum);
@@ -541,36 +535,17 @@ void ServeEngine::compact() {
 // Verdicts
 //===----------------------------------------------------------------------===//
 
-/// Instantiates main's summary (relations and observation manifest) on
-/// the initial Lambda state — the verdict derivation of runTypestateBu,
-/// reading the engine's retained summary instead of a fresh solver's.
+/// Pure BU's read-out (readMainSummary), reading the engine's retained
+/// summary of main instead of a fresh solver's.
 void ServeEngine::deriveErrors() {
   Errors.clear();
-  const TsSummary &Main = PS[Prog->mainProc()].Sum;
-  TState Error = Ctx->spec().errorState();
-  std::set<TsAbstractState> MainExit;
-  if (Main.LambdaExit)
-    MainExit.insert(TsAbstractState::lambda());
-  for (const TsRelation &Rel : Main.Rels)
-    if (std::optional<TsAbstractState> Out =
-            Rel.apply(*Ctx, TsAbstractState::lambda()))
-      MainExit.insert(*Out);
-  for (const TsAbstractState &S : MainExit)
-    if (!S.isLambda() && S.tstate() == Error)
-      Errors.insert(S.site());
-  for (const TsRelation &Rel : Main.ObsRels)
-    if (std::optional<TsAbstractState> Out =
-            Rel.apply(*Ctx, TsAbstractState::lambda()))
-      if (!Out->isLambda() && Out->tstate() == Error)
-        Errors.insert(Out->site());
+  readMainSummary(*Ctx, PS[Prog->mainProc()].Sum, Errors);
 }
 
 TsVerdict ServeEngine::verdict(SiteId S) const {
-  if (S >= Prog->numSites() || !Ctx->isTrackedSite(S))
+  if (S >= Prog->numSites())
     return TsVerdict::Proved;
-  if (Errors.count(S))
-    return TsVerdict::ErrorReported;
-  return Complete ? TsVerdict::Proved : TsVerdict::Unresolved;
+  return tsVerdict(*Ctx, S, Errors, /*Partial=*/!Complete);
 }
 
 bool ServeEngine::trackedSite(SiteId S) const {

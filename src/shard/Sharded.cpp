@@ -17,64 +17,6 @@ using namespace swift::shard;
 
 namespace {
 
-RelationalSolver<TsAnalysis> makeBuSolver(const TsContext &Ctx, Budget &Bud,
-                                          Stats &Stat) {
-  // The runTypestateBu configuration: no pruning, no frequency data, the
-  // observation manifest on — the solver every shard role must agree with
-  // byte for byte.
-  return RelationalSolver<TsAnalysis>(
-      Ctx, Ctx.program(), Ctx.callGraph(), NoPruning,
-      [](ProcId) -> const std::unordered_map<TsAbstractState, uint64_t> * {
-        return nullptr;
-      },
-      Bud, Stat, DefaultMaxRelsPerPoint, /*CollectObservations=*/true,
-      /*NumThreads=*/1);
-}
-
-/// Instantiates main's summary on the initial Lambda state and derives
-/// per-site verdicts — the runTypestateBu harvest, plus the governed
-/// runner's verdict discipline under degradation.
-void deriveOutcome(const TsContext &Ctx,
-                   const RelationalSolver<TsAnalysis> &Solver, bool Degraded,
-                   ShardedResult &R) {
-  const Program &Prog = Ctx.program();
-  const auto &Main = Solver.summary(Prog.mainProc());
-  TState Error = Ctx.spec().errorState();
-  NodeId MainExitNode = Prog.proc(Prog.mainProc()).exit();
-  if (Main.LambdaExit)
-    R.MainExit.insert(TsAbstractState::lambda());
-  for (const auto &Rel : Main.Rels)
-    if (std::optional<TsAbstractState> Out =
-            Rel.apply(Ctx, TsAbstractState::lambda()))
-      R.MainExit.insert(*Out);
-  for (const TsAbstractState &S : R.MainExit)
-    if (!S.isLambda() && S.tstate() == Error) {
-      R.ErrorSites.insert(S.site());
-      R.ErrorPoints.insert(TsError{S.site(), Prog.mainProc(), MainExitNode});
-    }
-  for (const auto &Rel : Main.ObsRels)
-    if (std::optional<TsAbstractState> Out =
-            Rel.apply(Ctx, TsAbstractState::lambda()))
-      if (!Out->isLambda() && Out->tstate() == Error) {
-        R.ErrorSites.insert(Out->site());
-        R.ErrorPoints.insert(
-            TsError{Out->site(), Prog.mainProc(), MainExitNode});
-      }
-
-  // A degraded run must not claim absence of errors it soundly gave up
-  // looking for; reported errors stay exact (degraded summaries only ever
-  // suppress relations, never invent them).
-  R.Verdicts.assign(Prog.numSites(), TsVerdict::Proved);
-  for (uint32_t S = 0; S != Prog.numSites(); ++S) {
-    if (!Ctx.isTrackedSite(S))
-      continue;
-    if (R.ErrorSites.count(S))
-      R.Verdicts[S] = TsVerdict::ErrorReported;
-    else if (Degraded)
-      R.Verdicts[S] = TsVerdict::Unresolved;
-  }
-}
-
 ShardedResult assembleCore(Program &Prog, const TsContext &Ctx,
                            const ShardPlan &Plan,
                            const SegmentSource &Source,
@@ -83,7 +25,8 @@ ShardedResult assembleCore(Program &Prog, const TsContext &Ctx,
   ShardedResult R;
   Budget Bud(MaxSteps, 1e18);
   Stats Stat;
-  RelationalSolver<TsAnalysis> Solver = makeBuSolver(Ctx, Bud, Stat);
+  RelationalSolver<TsAnalysis> Solver =
+      makePureBuSolver<TsAnalysis>(Ctx, Bud, Stat);
   std::vector<size_t> Target{Ctx.callGraph().scc(Prog.mainProc())};
   SolveSetup Setup = prepareSolve(Prog, Ctx, Plan, Source, DegradedShards,
                                   Target, Solver);
@@ -93,7 +36,12 @@ ShardedResult assembleCore(Program &Prog, const TsContext &Ctx,
   if (!Finished)
     return R; // Complete stays false; results stay empty
   R.Complete = true;
-  deriveOutcome(Ctx, Solver, R.Degraded, R);
+  readMainSummary(Ctx, Solver.summary(Prog.mainProc()), R.ErrorSites,
+                  &R.MainExit, &R.ErrorPoints);
+  // A degraded run must not claim absence of errors it soundly gave up
+  // looking for; reported errors stay exact (degraded summaries only ever
+  // suppress relations, never invent them).
+  R.Verdicts = tsVerdicts(Ctx, R.ErrorSites, R.Degraded);
   return R;
 }
 
@@ -145,7 +93,8 @@ ShardedResult shard::runShardedInProcess(Program &Prog,
     for (unsigned Sh = 0; Sh != Plan.NumShards; ++Sh) {
       Budget Bud(Opts.MaxSteps, 1e18);
       Stats Stat;
-      RelationalSolver<TsAnalysis> Solver = makeBuSolver(Ctx, Bud, Stat);
+      RelationalSolver<TsAnalysis> Solver =
+          makePureBuSolver<TsAnalysis>(Ctx, Bud, Stat);
       Solver.setSccObserver([&](const std::vector<ProcId> &Members) {
         size_t Scc = CG.scc(Members.front());
         if (Plan.ShardOfScc[Scc] != Sh)

@@ -6,6 +6,7 @@
 
 #include "shard/Worker.h"
 
+#include "framework/RunDriver.h"
 #include "ir/Dumper.h"
 #include "obs/Trace.h"
 #include "serve/Store.h"
@@ -161,13 +162,8 @@ int shard::runWorker(const WorkerOptions &O, std::string *Err) {
 
     Budget Bud(O.MaxSteps, 1e18);
     Stats Stat;
-    RelationalSolver<TsAnalysis> Solver(
-        Ctx, Prog, CG, NoPruning,
-        [](ProcId) -> const std::unordered_map<TsAbstractState, uint64_t> * {
-          return nullptr;
-        },
-        Bud, Stat, DefaultMaxRelsPerPoint, /*CollectObservations=*/true,
-        /*NumThreads=*/1);
+    RelationalSolver<TsAnalysis> Solver =
+        makePureBuSolver<TsAnalysis>(Ctx, Bud, Stat);
 
     // Degraded inputs would leak into own summaries; the spool must only
     // ever hold clean-run bytes, so degraded-mode runs publish nothing.

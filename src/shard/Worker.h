@@ -10,9 +10,9 @@
 /// in-process sharded runner share with it.
 ///
 /// A worker owns the SCCs its shard was assigned by planShards and runs a
-/// pure bottom-up relational solve over them (NoPruning, no frequency
-/// data — the same configuration as runTypestateBu, whose results are
-/// deterministic at any thread count). Cross-shard callee summaries are
+/// pure bottom-up relational solve over them (makePureBuSolver, the same
+/// configuration as runTypestateBu, whose results are deterministic at
+/// any thread count). Cross-shard callee summaries are
 /// taken from the spool when a valid segment exists and recomputed
 /// locally otherwise: the spool is a cache, and recomputation produces
 /// byte-identical summaries, so a worker never blocks on another shard's

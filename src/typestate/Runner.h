@@ -16,10 +16,9 @@
 #ifndef SWIFT_TYPESTATE_RUNNER_H
 #define SWIFT_TYPESTATE_RUNNER_H
 
+#include "framework/RunDriver.h"
 #include "framework/TabSnapshot.h"
 #include "govern/Governor.h"
-#include "support/Stats.h"
-#include "support/Timer.h"
 #include "typestate/Context.h"
 #include "typestate/TsAnalysis.h"
 
@@ -30,12 +29,6 @@
 #include <vector>
 
 namespace swift {
-
-/// Resource limits for one analysis run; default effectively unlimited.
-struct RunLimits {
-  uint64_t MaxSteps = UINT64_MAX;
-  double MaxSeconds = 1e18;
-};
 
 /// A reported typestate error: an object of the tracked class allocated at
 /// Site may be in the error state at node Node of procedure Proc.
@@ -55,17 +48,14 @@ struct TsError {
   }
 };
 
-struct TsRunResult {
-  bool Timeout = false;
-  double Seconds = 0;
-  uint64_t Steps = 0;
-  uint64_t TdSummaries = 0; ///< Total (entry, exit) pairs.
-  uint64_t BuRelations = 0; ///< Total (r, phi) relations.
+/// A typestate run's result. The ungoverned runners keep one timeout
+/// contract: a run that ran out of budget reports the timeout, its time,
+/// steps and stats, and nothing else.
+struct TsRunResult : RunCounts {
   std::vector<uint64_t> TdSummariesPerProc;
   std::set<SiteId> ErrorSites;          ///< Sites that may reach error.
   std::set<TsError> ErrorPoints;        ///< Where error tuples were seen.
   std::set<TsAbstractState> MainExit;   ///< States at main's exit.
-  Stats Stat;
 };
 
 /// Conventional top-down analysis (SWIFT with the trigger disabled).
@@ -121,6 +111,31 @@ enum class TsVerdict : uint8_t {
 };
 
 const char *tsVerdictName(TsVerdict V);
+
+/// The per-site verdict rule of every typestate driver (governed runs,
+/// sharded BU and the serve engine): an untracked site is Proved; a site
+/// with a reported error is ErrorReported; any other tracked site is
+/// Unresolved when the run is \p Partial (budget-exhausted or degraded)
+/// and Proved otherwise.
+TsVerdict tsVerdict(const TsContext &Ctx, SiteId S,
+                    const std::set<SiteId> &ErrorSites, bool Partial);
+
+/// tsVerdict for every allocation site, indexed by SiteId.
+std::vector<TsVerdict> tsVerdicts(const TsContext &Ctx,
+                                  const std::set<SiteId> &ErrorSites,
+                                  bool Partial);
+
+/// Pure BU's typestate read-out (forEachMainOutput): adds the site of
+/// every error state that \p Main, main's summary, reaches from the
+/// initial state to \p ErrorSites, at main's exit or, through the
+/// observation manifest, at an internal point. When given, \p MainExit
+/// receives main's exit states and \p ErrorPoints each error's report
+/// point, main's exit node.
+void readMainSummary(const TsContext &Ctx,
+                     const RelationalSolver<TsAnalysis>::Summary &Main,
+                     std::set<SiteId> &ErrorSites,
+                     std::set<TsAbstractState> *MainExit = nullptr,
+                     std::set<TsError> *ErrorPoints = nullptr);
 
 /// A checkpoint of a budget-exhausted typestate tabulation; see
 /// framework/TabSnapshot.h for exactness guarantees and

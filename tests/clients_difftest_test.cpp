@@ -44,15 +44,14 @@ DomainOracleOptions oracleOptions() {
 }
 
 void runCampaignFor(const std::string &Domain) {
-  DomainCampaignOptions Opts;
-  Opts.Domain = Domain;
+  CampaignOptions Opts;
   Opts.FirstSeed = 1;
   Opts.NumSeeds = 40;
-  Opts.Oracle = oracleOptions();
   Opts.OutDir = ""; // No reproducer files from the test run.
   Opts.ReduceViolations = false;
   std::ostringstream Log;
-  CampaignResult R = runDomainCampaign(Opts, Log);
+  CampaignResult R =
+      runCampaign(Opts, domainOracle(Domain, oracleOptions()), Log);
   EXPECT_EQ(R.SeedsRun, 40u);
   EXPECT_EQ(R.ExhaustedSeeds, 0u) << Log.str();
   for (const SeedReport &S : R.BadSeeds)
@@ -116,8 +115,8 @@ TEST(ClientCorpus, CleanOnTheFixedAnalyses) {
   for (const CorpusEntry &E : clientCorpus()) {
     SCOPED_TRACE(E.Path);
     ASSERT_FALSE(E.Domain.empty()) << "missing '# domain:' header";
-    DomainOracleResult R = replayDomainFile(E.Path, E.Domain,
-                                            oracleOptions());
+    OracleResult R =
+        replayFile(E.Path, domainOracle(E.Domain, oracleOptions()));
     EXPECT_GT(R.RunsDone, 0u);
     for (const Violation &V : R.Violations)
       ADD_FAILURE() << "[" << checkKindName(V.Kind) << "] " << V.Config
@@ -131,8 +130,8 @@ TEST(ClientCorpus, StillTripTheOracleUnderTheInjectedFault) {
     ASSERT_FALSE(E.Domain.empty()) << "missing '# domain:' header";
     ASSERT_FALSE(E.Kind.empty()) << "missing '# violation:' header";
     ASSERT_TRUE(clients::test::injectDomainBug(E.Domain, true));
-    DomainOracleResult R = replayDomainFile(E.Path, E.Domain,
-                                            oracleOptions());
+    OracleResult R =
+        replayFile(E.Path, domainOracle(E.Domain, oracleOptions()));
     clients::test::injectDomainBug(E.Domain, false);
     bool Found = false;
     for (const Violation &V : R.Violations)

@@ -83,7 +83,7 @@ TEST(CorpusTest, CorpusIsNonEmpty) {
 TEST(CorpusTest, ReproducersAreCleanOnTheFixedAnalyses) {
   for (const std::string &Path : corpusFiles()) {
     SCOPED_TRACE(Path);
-    OracleResult R = replayFile(Path, replayOptions());
+    OracleResult R = replayFile(Path, typestateOracle(replayOptions()));
     EXPECT_GT(R.RunsDone, 0u);
     for (const Violation &V : R.Violations)
       ADD_FAILURE() << "[" << checkKindName(V.Kind) << "] " << V.Config
@@ -97,7 +97,7 @@ TEST(CorpusTest, ReproducersStillTripTheOracleUnderTheInjectedFault) {
     SCOPED_TRACE(Path);
     std::string Want = headerViolationKind(Path);
     ASSERT_FALSE(Want.empty()) << "missing '# violation:' header";
-    OracleResult R = replayFile(Path, replayOptions());
+    OracleResult R = replayFile(Path, typestateOracle(replayOptions()));
     bool Found = false;
     for (const Violation &V : R.Violations)
       Found |= checkKindName(V.Kind) == Want;

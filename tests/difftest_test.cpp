@@ -87,10 +87,10 @@ TEST(DifftestReducerTest, ShrinksInjectedBugToTinyReproducer) {
   InjectBugScope Bug;
   std::unique_ptr<Program> Prog = generateFuzzProgram(fuzzConfigForSeed(15));
 
-  ReduceOptions RO;
-  RO.Oracle = deterministicOptions(15 * 1013 + 1);
-  RO.Oracle.Limits.MaxSteps = 3'000'000;
-  ReduceResult RR = reduceViolation(*Prog, CheckKind::BuAgreement, RO);
+  OracleOptions OO = deterministicOptions(15 * 1013 + 1);
+  OO.Limits.MaxSteps = 3'000'000;
+  ReduceResult RR = reduceViolation(*Prog, CheckKind::BuAgreement,
+                                    typestateOracle(OO), OO.InterpSeed);
 
   // The acceptance bar from the issue: <= 3 procedures, <= 15 statements.
   EXPECT_LE(RR.NumProcs, 3u);
@@ -101,7 +101,7 @@ TEST(DifftestReducerTest, ShrinksInjectedBugToTinyReproducer) {
   // The reduced text is a well-formed program that still exhibits a
   // violation of the same kind...
   std::unique_ptr<Program> Re = parseProgramText(RR.Text);
-  OracleResult Replayed = runOracle(*Re, RO.Oracle);
+  OracleResult Replayed = runOracle(*Re, OO);
   bool SameKind = false;
   for (const Violation &V : Replayed.Violations)
     SameKind |= V.Kind == CheckKind::BuAgreement;
@@ -110,16 +110,16 @@ TEST(DifftestReducerTest, ShrinksInjectedBugToTinyReproducer) {
   // ...and is clean once the fault is gone, i.e. the reducer minimized the
   // bug, not some unrelated oracle artifact.
   test::InjectTsCallWeakUpdateBug.store(false);
-  EXPECT_TRUE(runOracle(*Re, RO.Oracle).clean());
+  EXPECT_TRUE(runOracle(*Re, OO).clean());
 }
 
 TEST(DifftestReducerTest, NonReproducingInputIsReturnedUnreduced) {
   // Without the fault the oracle is clean on seed 15, so the reducer's
   // initial interestingness test fails and the input comes back whole.
   std::unique_ptr<Program> Prog = generateFuzzProgram(fuzzConfigForSeed(15));
-  ReduceOptions RO;
-  RO.Oracle = deterministicOptions(15 * 1013 + 1);
-  ReduceResult RR = reduceViolation(*Prog, CheckKind::BuAgreement, RO);
+  OracleOptions OO = deterministicOptions(15 * 1013 + 1);
+  ReduceResult RR = reduceViolation(*Prog, CheckKind::BuAgreement,
+                                    typestateOracle(OO), OO.InterpSeed);
   EXPECT_EQ(RR.NumProcs, Prog->numProcs());
   EXPECT_EQ(RR.OracleRuns, 1u);
   EXPECT_EQ(RR.Text, programToText(*Prog));
@@ -139,12 +139,12 @@ TEST(DifftestCampaignTest, WriteAndReplayReproducer) {
 
   // The header comments are skipped by the parser; the replay runs the
   // oracle on exactly the embedded program.
-  OracleResult R = replayFile(Path, deterministicOptions(1));
+  OracleResult R = replayFile(Path, typestateOracle(deterministicOptions(1)));
   EXPECT_TRUE(R.clean());
   EXPECT_GT(R.RunsDone, 0u);
 
   EXPECT_THROW((void)replayFile((Dir / "missing.swiftir").string(),
-                                deterministicOptions(1)),
+                                typestateOracle(deterministicOptions(1))),
                std::runtime_error);
   std::filesystem::remove_all(Dir);
 }
@@ -153,10 +153,11 @@ TEST(DifftestCampaignTest, CleanCampaignReportsNoBadSeeds) {
   CampaignOptions CO;
   CO.FirstSeed = 1;
   CO.NumSeeds = 2;
-  CO.Oracle = deterministicOptions(1); // InterpSeed is re-derived per seed
-  CO.OutDir.clear();                   // no filesystem traffic
+  CO.OutDir.clear(); // no filesystem traffic
   std::ostringstream Log;
-  CampaignResult R = runCampaign(CO, Log);
+  // InterpSeed is re-derived per seed.
+  CampaignResult R =
+      runCampaign(CO, typestateOracle(deterministicOptions(1)), Log);
   EXPECT_EQ(R.SeedsRun, 2u);
   EXPECT_TRUE(R.clean());
   EXPECT_FALSE(R.StoppedOnBudget);

@@ -175,7 +175,7 @@ TEST_P(KgCoincidenceTest, SwiftAndBuAgreeWithTd) {
   std::unique_ptr<Program> Prog = generateFuzzProgram(FC);
   KgContext Ctx = makeCtx(*Prog);
 
-  KgRunLimits L;
+  RunLimits L;
   L.MaxSteps = 5'000'000;
   L.MaxSeconds = 20;
   KgRunResult Td = runTaintTd(Ctx, L);

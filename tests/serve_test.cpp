@@ -407,6 +407,20 @@ TEST(ServeIncremental, EditSequencesCoincideWithFromScratch) {
     for (SiteId S = 0; S != E.program().numSites(); ++S)
       EXPECT_EQ(Fresh.verdict(S), E.verdict(S))
           << "seed " << Seed << " site " << S;
+
+    // The fresh engine is pure BU on the final program: its error sites
+    // and verdicts are runTypestateBu's.
+    std::unique_ptr<Program> Final = parseProgramText(E.programText());
+    TsContext Ctx(*Final, Final->symbols().intern(Fresh.trackedClass()));
+    TsRunResult Bu = runTypestateBu(Ctx);
+    ASSERT_FALSE(Bu.Timeout) << "seed " << Seed;
+    EXPECT_EQ(Fresh.errorSites(), Bu.ErrorSites) << "seed " << Seed;
+    for (SiteId S = 0; S != Final->numSites(); ++S)
+      EXPECT_EQ(Fresh.verdict(S),
+                Ctx.isTrackedSite(S) && Bu.ErrorSites.count(S)
+                    ? TsVerdict::ErrorReported
+                    : TsVerdict::Proved)
+          << "seed " << Seed << " site " << S;
   }
   EXPECT_GT(Solved, 0u) << "every fuzz seed blew up";
   EXPECT_GT(Edited, 0u) << "edit generator produced nothing";

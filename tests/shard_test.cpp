@@ -243,7 +243,16 @@ TEST(ShardedRun, KInvariantAndCoincidesWithPureBu) {
       ASSERT_TRUE(R.Complete) << "seed " << Seed << " K " << K;
       EXPECT_FALSE(R.Degraded);
       EXPECT_EQ(R.ErrorSites, Bu.ErrorSites) << "seed " << Seed << " K " << K;
+      EXPECT_EQ(R.ErrorPoints, Bu.ErrorPoints)
+          << "seed " << Seed << " K " << K;
       EXPECT_EQ(R.MainExit, Bu.MainExit) << "seed " << Seed << " K " << K;
+      // A complete pure-BU run proves every tracked site without an error.
+      ASSERT_EQ(R.Verdicts.size(), Prog->numSites());
+      for (SiteId S = 0; S != Prog->numSites(); ++S)
+        EXPECT_EQ(R.Verdicts[S], Ctx.isTrackedSite(S) && Bu.ErrorSites.count(S)
+                                     ? TsVerdict::ErrorReported
+                                     : TsVerdict::Proved)
+            << "seed " << Seed << " K " << K << " site " << S;
       if (!Ref) {
         Ref = std::move(R);
         continue;

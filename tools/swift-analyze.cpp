@@ -258,7 +258,7 @@ int runClientDomainTool(const ToolOptions &O) {
   clients::DomainMode Mode = O.Mode == "td"      ? clients::DomainMode::Td
                              : O.Mode == "swift" ? clients::DomainMode::Swift
                                                  : clients::DomainMode::Bu;
-  clients::DomainRunLimits Limits;
+  RunLimits Limits;
   Limits.MaxSteps = O.Steps;
   Limits.MaxSeconds = O.Seconds;
   clients::DomainRunResult R = clients::runClientDomain(

@@ -164,80 +164,34 @@ bool parseArgs(int Argc, char **Argv, ToolOptions &O, std::string &Err) {
   return true;
 }
 
-OracleOptions oracleOptions(const ToolOptions &O) {
-  OracleOptions OO;
-  OO.Limits.MaxSteps = O.Steps;
-  OO.Limits.MaxSeconds = O.RunSeconds;
-  OO.Schedules = O.Schedules;
-  return OO;
-}
-
-DomainOracleOptions domainOracleOptions(const ToolOptions &O) {
+/// The oracle --domain selects, with the per-run budgets and schedule
+/// count of the flags.
+ProgramOracle oracleFor(const ToolOptions &O) {
+  if (O.Domain == "typestate") {
+    OracleOptions OO;
+    OO.Limits = {O.Steps, O.RunSeconds};
+    OO.Schedules = O.Schedules;
+    return typestateOracle(OO);
+  }
   DomainOracleOptions OO;
-  OO.Limits.MaxSteps = O.Steps;
-  OO.Limits.MaxSeconds = O.RunSeconds;
+  OO.Limits = {O.Steps, O.RunSeconds};
   OO.Schedules = O.Schedules;
-  return OO;
-}
-
-int domainReplay(const ToolOptions &O) {
-  DomainOracleResult R;
-  try {
-    R = replayDomainFile(O.ReplayPath, O.Domain, domainOracleOptions(O));
-  } catch (const std::exception &E) {
-    std::fprintf(stderr, "swift-difftest: %s\n", E.what());
-    return 2;
-  }
-  std::printf("replayed %s under %s: %u run(s), %u timed out, %zu "
-              "violation(s)\n",
-              O.ReplayPath.c_str(), O.Domain.c_str(), R.RunsDone,
-              R.RunsTimedOut, R.Violations.size());
-  for (const Violation &V : R.Violations)
-    std::printf("  [%s] %s: %s\n", checkKindName(V.Kind), V.Config.c_str(),
-                V.Detail.c_str());
-  if (!R.clean())
-    return 1;
-  if (R.ReferenceTimedOut) {
-    std::printf("note: the td reference run exhausted its budget; "
-                "every check was skipped\n");
-    return 3;
-  }
-  return 0;
-}
-
-int domainCampaign(const ToolOptions &O) {
-  DomainCampaignOptions CO;
-  CO.Domain = O.Domain;
-  CO.FirstSeed = O.FirstSeed;
-  CO.NumSeeds = O.Seeds;
-  CO.Oracle = domainOracleOptions(O);
-  CO.ReduceViolations = !O.NoReduce;
-  CO.OutDir = O.OutDir;
-  CO.BudgetSeconds = O.BudgetSeconds;
-
-  CampaignResult R = runDomainCampaign(CO, std::cout);
-  std::printf("[%s] %llu seed(s) tested, %zu with violations, %llu "
-              "resource-exhausted%s\n",
-              O.Domain.c_str(),
-              static_cast<unsigned long long>(R.SeedsRun),
-              R.BadSeeds.size(),
-              static_cast<unsigned long long>(R.ExhaustedSeeds),
-              R.StoppedOnBudget ? " (stopped on --budget)" : "");
-  if (!R.clean())
-    return 1;
-  return R.ExhaustedSeeds != 0 ? 3 : 0;
+  return domainOracle(O.Domain, OO);
 }
 
 int replay(const ToolOptions &O) {
+  bool Typestate = O.Domain == "typestate";
   OracleResult R;
   try {
-    R = replayFile(O.ReplayPath, oracleOptions(O));
+    R = replayFile(O.ReplayPath, oracleFor(O));
   } catch (const std::exception &E) {
     std::fprintf(stderr, "swift-difftest: %s\n", E.what());
     return 2;
   }
-  std::printf("replayed %s: %u run(s), %u timed out, %zu violation(s)\n",
-              O.ReplayPath.c_str(), R.RunsDone, R.RunsTimedOut,
+  std::printf("replayed %s%s%s: %u run(s), %u timed out, %zu "
+              "violation(s)\n",
+              O.ReplayPath.c_str(), Typestate ? "" : " under ",
+              Typestate ? "" : O.Domain.c_str(), R.RunsDone, R.RunsTimedOut,
               R.Violations.size());
   for (const Violation &V : R.Violations)
     std::printf("  [%s] %s: %s\n", checkKindName(V.Kind), V.Config.c_str(),
@@ -245,8 +199,9 @@ int replay(const ToolOptions &O) {
   if (!R.clean())
     return 1;
   if (R.ReferenceTimedOut) {
-    std::printf("note: the td reference run exhausted its budget; "
-                "reference-dependent checks were skipped\n");
+    std::printf("note: the td reference run exhausted its budget; %s\n",
+                Typestate ? "reference-dependent checks were skipped"
+                          : "every check was skipped");
     return 3;
   }
   return 0;
@@ -256,16 +211,15 @@ int campaign(const ToolOptions &O) {
   CampaignOptions CO;
   CO.FirstSeed = O.FirstSeed;
   CO.NumSeeds = O.Seeds;
-  CO.Oracle = oracleOptions(O);
-  CO.Reduce.Oracle = CO.Oracle;
   CO.ReduceViolations = !O.NoReduce;
   CO.OutDir = O.OutDir;
   CO.BudgetSeconds = O.BudgetSeconds;
 
-  CampaignResult R = runCampaign(CO, std::cout);
-  std::printf("%llu seed(s) tested, %zu with violations, %llu "
+  CampaignResult R = runCampaign(CO, oracleFor(O), std::cout);
+  std::string Prefix = O.Domain == "typestate" ? "" : "[" + O.Domain + "] ";
+  std::printf("%s%llu seed(s) tested, %zu with violations, %llu "
               "resource-exhausted%s\n",
-              static_cast<unsigned long long>(R.SeedsRun),
+              Prefix.c_str(), static_cast<unsigned long long>(R.SeedsRun),
               R.BadSeeds.size(),
               static_cast<unsigned long long>(R.ExhaustedSeeds),
               R.StoppedOnBudget ? " (stopped on --budget)" : "");
@@ -306,11 +260,7 @@ int main(int Argc, char **Argv) {
   if (!O.MetricsOut.empty())
     obs::MetricsRegistry::instance().enable();
 
-  int Rc;
-  if (O.Domain == "typestate")
-    Rc = O.ReplayPath.empty() ? campaign(O) : replay(O);
-  else
-    Rc = O.ReplayPath.empty() ? domainCampaign(O) : domainReplay(O);
+  int Rc = O.ReplayPath.empty() ? campaign(O) : replay(O);
 
   // Advisory flushes: an observability write failure warns but never
   // changes the campaign verdict.
