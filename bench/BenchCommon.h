@@ -208,14 +208,16 @@ public:
 
   /// Records a solver run: wall time, budget steps, and the two headline
   /// result sizes. Timeout rows keep their (budget-truncated) numbers
-  /// for the record; swift-benchdiff skips them.
-  void add(const std::string &Workload, const std::string &Config,
-           const RunCounts &Res) {
+  /// for the record; swift-benchdiff skips them. Returns the row for
+  /// extra metrics.
+  obs::benchjson::Row &add(const std::string &Workload,
+                           const std::string &Config, const RunCounts &Res) {
     obs::benchjson::Row &W = addRow(Workload, Config, Res);
     W.set("seconds", Res.Seconds);
     W.set("steps", double(Res.Steps));
     W.set("td_summaries", double(Res.TdSummaries));
     W.set("bu_relations", double(Res.BuRelations));
+    return W;
   }
 
   /// Records a custom row (static characteristics, micro-op timings...).

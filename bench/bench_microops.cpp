@@ -141,6 +141,16 @@ void BM_AliasAnalysis_Midsize(benchmark::State &S) {
 }
 BENCHMARK(BM_AliasAnalysis_Midsize);
 
+void BM_AliasAnalysis_Large(benchmark::State &S) {
+  const NamedWorkload *W = findWorkload("avrora");
+  std::unique_ptr<Program> Prog = generateWorkload(W->Config);
+  for (auto _ : S) {
+    AliasAnalysis A(*Prog);
+    benchmark::DoNotOptimize(A.totalPtsSize());
+  }
+}
+BENCHMARK(BM_AliasAnalysis_Large);
+
 void BM_GenerateWorkload_Midsize(benchmark::State &S) {
   const NamedWorkload *W = findWorkload("toba-s");
   for (auto _ : S) {

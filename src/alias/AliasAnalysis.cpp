@@ -7,43 +7,61 @@
 #include "alias/AliasAnalysis.h"
 
 #include <cassert>
+#include <iterator>
 
 using namespace swift;
 
-size_t AliasAnalysis::varNode(ProcId P, Symbol V) {
-  auto [It, Inserted] = VarIndex.try_emplace(VarKey{P, V}, PointsTo.size());
-  if (Inserted) {
-    PointsTo.emplace_back();
-    CopyEdges.emplace_back();
-    Loads.emplace_back();
-    Stores.emplace_back();
-    InWorklist.push_back(false);
-  }
-  return It->second;
+namespace {
+
+/// Merges the sorted \p Src, disjoint from the sorted \p Dst, into
+/// \p Dst, back to front so no scratch buffer is needed.
+void mergeDisjoint(std::vector<SiteId> &Dst, const std::vector<SiteId> &Src) {
+  size_t I = Dst.size(), J = Src.size();
+  Dst.resize(I + J);
+  for (size_t K = Dst.size(); J != 0;)
+    Dst[--K] = I != 0 && Dst[I - 1] > Src[J - 1] ? Dst[--I] : Src[--J];
 }
 
-size_t AliasAnalysis::fieldNode(SiteId H, Symbol F) {
+} // namespace
+
+AliasAnalysis::NodeIx AliasAnalysis::varNode(ProcId P, Symbol V) {
   auto [It, Inserted] =
-      FieldIndex.try_emplace(FieldKey{H, F}, PointsTo.size());
-  if (Inserted) {
-    PointsTo.emplace_back();
-    CopyEdges.emplace_back();
-    Loads.emplace_back();
-    Stores.emplace_back();
-    InWorklist.push_back(false);
-  }
+      VarIndex.try_emplace(VarKey{P, V}, static_cast<NodeIx>(Nodes.size()));
+  if (Inserted)
+    Nodes.emplace_back();
   return It->second;
 }
 
-void AliasAnalysis::addEdge(size_t From, size_t To) {
-  for (size_t E : CopyEdges[From])
-    if (E == To)
-      return;
-  CopyEdges[From].push_back(To);
-  if (!PointsTo[From].empty() && !InWorklist[From]) {
-    InWorklist[From] = true;
-    Worklist.push_back(From);
-  }
+AliasAnalysis::NodeIx AliasAnalysis::fieldNode(SiteId H, Symbol F) {
+  auto [It, Inserted] = FieldIndex.try_emplace(
+      FieldKey{H, F}, static_cast<NodeIx>(Nodes.size()));
+  if (Inserted)
+    Nodes.emplace_back();
+  return It->second;
+}
+
+void AliasAnalysis::merge(const std::vector<SiteId> &Sites, NodeIx To) {
+  Node &T = Nodes[To];
+  Fresh.clear();
+  std::set_difference(Sites.begin(), Sites.end(), T.Pts.begin(),
+                      T.Pts.end(), std::back_inserter(Fresh));
+  if (Fresh.empty())
+    return;
+  mergeDisjoint(T.Pts, Fresh);
+  if (T.Delta.empty())
+    Worklist.push_back(To);
+  mergeDisjoint(T.Delta, Fresh);
+}
+
+void AliasAnalysis::addEdge(NodeIx From, NodeIx To) {
+  // A self edge adds nothing to the fixpoint.
+  if (From == To ||
+      !EdgeSet.insert((static_cast<uint64_t>(From) << 32) | To).second)
+    return;
+  Nodes[From].Copies.push_back(To);
+  // The new edge carries the whole current set once; later growth of
+  // From reaches To through From's delta.
+  merge(Nodes[From].Pts, To);
 }
 
 AliasAnalysis::AliasAnalysis(const Program &Prog) {
@@ -57,28 +75,23 @@ AliasAnalysis::AliasAnalysis(const Program &Prog) {
       case CmdKind::AssignNull:
       case CmdKind::TsCall:
         break;
-      case CmdKind::Alloc: {
-        size_t N = varNode(P, C.Dst);
-        if (PointsTo[N].insert(C.Site).second && !InWorklist[N]) {
-          InWorklist[N] = true;
-          Worklist.push_back(N);
-        }
+      case CmdKind::Alloc:
+        merge({C.Site}, varNode(P, C.Dst));
         break;
-      }
       case CmdKind::Copy:
         addEdge(varNode(P, C.Src), varNode(P, C.Dst));
         break;
       case CmdKind::Load: {
-        // varNode may grow the vectors; resolve both nodes first.
-        size_t Dst = varNode(P, C.Dst);
-        size_t Base = varNode(P, C.Src);
-        Loads[Base].push_back(LoadConstraint{Dst, C.Field});
+        // varNode may grow Nodes; resolve both nodes first.
+        NodeIx Dst = varNode(P, C.Dst);
+        NodeIx Base = varNode(P, C.Src);
+        Nodes[Base].Loads.push_back(LoadConstraint{Dst, C.Field});
         break;
       }
       case CmdKind::Store: {
-        size_t Base = varNode(P, C.Dst);
-        size_t Src = varNode(P, C.Src);
-        Stores[Base].push_back(StoreConstraint{Src, C.Field});
+        NodeIx Base = varNode(P, C.Dst);
+        NodeIx Src = varNode(P, C.Src);
+        Nodes[Base].Stores.push_back(StoreConstraint{Src, C.Field});
         break;
       }
       case CmdKind::Call: {
@@ -99,40 +112,36 @@ AliasAnalysis::AliasAnalysis(const Program &Prog) {
 
 void AliasAnalysis::solve() {
   while (!Worklist.empty()) {
-    size_t N = Worklist.back();
+    NodeIx N = Worklist.back();
     Worklist.pop_back();
-    InWorklist[N] = false;
+    std::vector<SiteId> Delta = std::move(Nodes[N].Delta);
+    Nodes[N].Delta.clear();
 
-    // Materialize dynamic edges implied by N's current points-to set.
-    // Copies of the constraint lists are taken because fieldNode() may
-    // reallocate the underlying vectors.
-    std::vector<LoadConstraint> LoadsOfN = Loads[N];
-    std::vector<StoreConstraint> StoresOfN = Stores[N];
-    std::set<SiteId> Pts = PointsTo[N];
-    for (SiteId H : Pts) {
-      for (const LoadConstraint &L : LoadsOfN)
+    // Materialize the load/store edges the new sites imply. fieldNode()
+    // may grow Nodes, so constraints are copied out by index and no
+    // reference into Nodes lives across the call.
+    for (size_t I = 0; I != Nodes[N].Loads.size(); ++I) {
+      LoadConstraint L = Nodes[N].Loads[I];
+      for (SiteId H : Delta)
         addEdge(fieldNode(H, L.Field), L.Dst);
-      for (const StoreConstraint &S : StoresOfN)
+    }
+    for (size_t I = 0; I != Nodes[N].Stores.size(); ++I) {
+      StoreConstraint S = Nodes[N].Stores[I];
+      for (SiteId H : Delta)
         addEdge(S.Src, fieldNode(H, S.Field));
     }
 
-    // Propagate along copy edges.
-    for (size_t To : CopyEdges[N]) {
-      bool Grew = false;
-      for (SiteId H : Pts)
-        if (PointsTo[To].insert(H).second)
-          Grew = true;
-      if (Grew && !InWorklist[To]) {
-        InWorklist[To] = true;
-        Worklist.push_back(To);
-      }
-    }
+    // Push the new sites along the copy edges. Edges added above already
+    // carried them; merging them again is a no-op. merge() creates no
+    // node, so iterating Copies directly is safe.
+    for (NodeIx To : Nodes[N].Copies)
+      merge(Delta, To);
   }
 }
 
 size_t AliasAnalysis::totalPtsSize() const {
   size_t Total = 0;
-  for (const std::set<SiteId> &S : PointsTo)
-    Total += S.size();
+  for (const Node &N : Nodes)
+    Total += N.Pts.size();
   return Total;
 }

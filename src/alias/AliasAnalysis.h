@@ -11,6 +11,12 @@
 /// in the paper's Section 2), standing in for the may-alias analysis of the
 /// Chord platform.
 ///
+/// The solver is difference propagation (Pearce, Kelly & Hankin, SCAM
+/// 2003): each node keeps its points-to set as a sorted site vector plus
+/// the delta of sites not yet pushed to its successors, and a worklist pop
+/// handles the delta alone. A copy edge added mid-solve copies its
+/// source's whole set once.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SWIFT_ALIAS_ALIASANALYSIS_H
@@ -18,8 +24,9 @@
 
 #include "ir/Program.h"
 
-#include <set>
+#include <algorithm>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 namespace swift {
@@ -32,23 +39,24 @@ public:
   /// site \p H? Sound over-approximation; unknown variables never point
   /// anywhere.
   bool mayPointTo(ProcId P, Symbol V, SiteId H) const {
-    int Node = findVar(P, V);
-    return Node >= 0 && PointsTo[Node].count(H) != 0;
+    const std::vector<SiteId> &Pts = pointsTo(P, V);
+    return std::binary_search(Pts.begin(), Pts.end(), H);
   }
 
-  /// The points-to set of variable \p V of procedure \p P (empty set if the
-  /// variable never occurs).
-  const std::set<SiteId> &pointsTo(ProcId P, Symbol V) const {
-    static const std::set<SiteId> Empty;
-    int Node = findVar(P, V);
-    return Node < 0 ? Empty : PointsTo[Node];
+  /// The points-to set of variable \p V of procedure \p P, in ascending
+  /// site order (empty if the variable never occurs).
+  const std::vector<SiteId> &pointsTo(ProcId P, Symbol V) const {
+    static const std::vector<SiteId> Empty;
+    int N = findVar(P, V);
+    return N < 0 ? Empty : Nodes[N].Pts;
   }
 
-  /// The points-to set of field \p F of objects allocated at \p H.
-  const std::set<SiteId> &fieldPointsTo(SiteId H, Symbol F) const {
-    static const std::set<SiteId> Empty;
-    int Node = findField(H, F);
-    return Node < 0 ? Empty : PointsTo[Node];
+  /// The points-to set of field \p F of objects allocated at \p H, in
+  /// ascending site order.
+  const std::vector<SiteId> &fieldPointsTo(SiteId H, Symbol F) const {
+    static const std::vector<SiteId> Empty;
+    int N = findField(H, F);
+    return N < 0 ? Empty : Nodes[N].Pts;
   }
 
   /// Total size of all points-to sets (a cheap complexity metric).
@@ -87,29 +95,47 @@ private:
     return It == FieldIndex.end() ? -1 : static_cast<int>(It->second);
   }
 
-  size_t varNode(ProcId P, Symbol V);
-  size_t fieldNode(SiteId H, Symbol F);
-  void addEdge(size_t From, size_t To);
+  /// An index into Nodes; 32 bits, so an edge packs into one 64-bit key.
+  using NodeIx = uint32_t;
+
+  NodeIx varNode(ProcId P, Symbol V);
+  NodeIx fieldNode(SiteId H, Symbol F);
+  void addEdge(NodeIx From, NodeIx To);
+  /// Adds the sites of the sorted vector \p Sites missing from node
+  /// \p To's set to both its set and its delta. \p Sites must not be one
+  /// of To's own vectors.
+  void merge(const std::vector<SiteId> &Sites, NodeIx To);
   void solve();
 
   // Deferred (dynamic) constraints attached to the pointer operand.
   struct LoadConstraint {
-    size_t Dst;
+    NodeIx Dst;
     Symbol Field;
   };
   struct StoreConstraint {
-    size_t Src;
+    NodeIx Src;
     Symbol Field;
   };
 
-  std::unordered_map<VarKey, size_t, VarKeyHash> VarIndex;
-  std::unordered_map<FieldKey, size_t, FieldKeyHash> FieldIndex;
-  std::vector<std::set<SiteId>> PointsTo;
-  std::vector<std::vector<size_t>> CopyEdges;
-  std::vector<std::vector<LoadConstraint>> Loads;
-  std::vector<std::vector<StoreConstraint>> Stores;
-  std::vector<bool> InWorklist;
-  std::vector<size_t> Worklist;
+  struct Node {
+    std::vector<SiteId> Pts;   ///< Sorted; includes the delta.
+    std::vector<SiteId> Delta; ///< Sorted; not yet pushed to successors.
+    std::vector<NodeIx> Copies;
+    std::vector<LoadConstraint> Loads;
+    std::vector<StoreConstraint> Stores;
+  };
+
+  std::unordered_map<VarKey, NodeIx, VarKeyHash> VarIndex;
+  std::unordered_map<FieldKey, NodeIx, FieldKeyHash> FieldIndex;
+  /// Grows when fieldNode() creates a node, so no reference into it may
+  /// be held across that call.
+  std::vector<Node> Nodes;
+  /// Copy edges already present, keyed (From << 32) | To.
+  std::unordered_set<uint64_t> EdgeSet;
+  /// Nodes with a non-empty delta, each at most once.
+  std::vector<NodeIx> Worklist;
+  /// Scratch for merge().
+  std::vector<SiteId> Fresh;
 };
 
 } // namespace swift

@@ -7,6 +7,7 @@
 #include "serve/Server.h"
 
 #include "obs/Json.h"
+#include "obs/Metrics.h"
 #include "serve/EditGen.h"
 #include "serve/Engine.h"
 
@@ -133,8 +134,11 @@ uint64_t deadlineField(const json::Value &Req) {
   return D && D->isNumber() ? D->asU64() : 0;
 }
 
+/// Answers one request line. \p Latency is set to the name of the
+/// histogram the request's wall time belongs in: queries and edits that
+/// get past validation and the admission gate.
 json::Value handle(ServeEngine &E, const std::string &Line,
-                   bool &Shutdown, Session &S) {
+                   bool &Shutdown, Session &S, const char *&Latency) {
   json::Value Req;
   try {
     Req = json::parse(Line);
@@ -152,6 +156,7 @@ json::Value handle(ServeEngine &E, const std::string &Line,
     const json::Value *Site = Req.find("site");
     if (!Site || !Site->isNumber())
       return errorResp("bad_request", "query: missing numeric field 'site'");
+    Latency = "serve.query_latency_us";
     SiteId S = static_cast<SiteId>(Site->asU64());
     json::Value R = makeObj();
     put(R, "ok", json::Value::boolean(true));
@@ -181,6 +186,7 @@ json::Value handle(ServeEngine &E, const std::string &Line,
       return errorResp("bad_request", "edit: missing string field 'body'");
     if (S.shouldShed())
       return shedResp();
+    Latency = "serve.edit_latency_us";
     EditResult R = E.applyEdit(Proc->Str, Body->Str, deadlineField(Req));
     S.noteEdit(R);
     return editResp(R);
@@ -325,6 +331,12 @@ int swift::serve::serveLines(ServeEngine &Engine, std::istream &In,
       EmitDrain();
       return 0;
     }
+    // With metrics on, a request's latency runs from its line being read
+    // to its response being flushed.
+    bool Timed = obs::metricsEnabled();
+    auto Start = Timed ? std::chrono::steady_clock::now()
+                       : std::chrono::steady_clock::time_point();
+    const char *Latency = nullptr;
     json::Value Resp;
     bool Shutdown = false;
     if (R == LineRead::Oversized) {
@@ -338,10 +350,15 @@ int swift::serve::serveLines(ServeEngine &Engine, std::istream &In,
           OnlySpace = false;
       if (OnlySpace)
         continue;
-      Resp = handle(Engine, Line, Shutdown, S);
+      Resp = handle(Engine, Line, Shutdown, S, Latency);
     }
     Out << json::dump(Resp) << '\n';
     Out.flush();
+    if (Timed && Latency)
+      obs::MetricsRegistry::instance().histogram(Latency)->record(
+          std::chrono::duration_cast<std::chrono::microseconds>(
+              std::chrono::steady_clock::now() - Start)
+              .count());
     if (!Out)
       return 1;
     if (Shutdown)

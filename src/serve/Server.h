@@ -87,7 +87,9 @@ struct ServeLimits {
 /// Serves requests from \p In to \p Out until EOF, shutdown, or drain.
 /// Returns 0 on a clean exit, non-zero only on an unwritable output
 /// stream. The engine must already be solved; requests arriving before
-/// that report unresolved verdicts but are still answered.
+/// that report unresolved verdicts but are still answered. With metrics
+/// on, each edit and query request's wall time in microseconds goes to
+/// the histograms serve.edit_latency_us and serve.query_latency_us.
 int serveLines(ServeEngine &Engine, std::istream &In, std::ostream &Out,
                const ServeLimits &Limits = {});
 

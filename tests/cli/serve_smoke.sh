@@ -5,7 +5,8 @@
 # verbatim) must be accepted and change no verdict, and a warm start
 # from the auto-saved store must reuse every summary and still agree.
 # Also covers the shutdown contract (shutdown response sent and
-# --metrics-out/--trace-out flushed before exit 0) and graceful drain
+# --metrics-out/--trace-out flushed before exit 0, with one sample in each
+# of the edit and query latency histograms) and graceful drain
 # (SIGTERM finishes the in-flight request, emits the drain stats line,
 # and exits 0).
 #
@@ -137,7 +138,10 @@ diff "$work/batch.sites" "$work/warm.sites" ||
 
 # Shutdown contract: the shutdown response is sent AND the requested
 # observability files are flushed, valid JSON before the process exits 0.
-printf '{"op":"stats"}\n{"op":"shutdown"}\n' |
+# The session's one edit (the self-edit above) and one query each land in
+# their request-latency histogram.
+{ printf '{"op":"stats"}\n'; sed -n 3p "$work/requests"
+  printf '{"op":"query","site":0}\n{"op":"shutdown"}\n'; } |
   "$serve" --metrics-out="$work/shutdown.metrics.json" \
            --trace-out="$work/shutdown.trace.json" "$prog" \
   > "$work/shutdown.out" 2> "$work/shutdown.err"
@@ -147,9 +151,12 @@ python3 - "$work/shutdown.out" "$work/shutdown.metrics.json" \
           "$work/shutdown.trace.json" <<'EOF'
 import json, sys
 rs = [json.loads(l) for l in open(sys.argv[1]) if l.strip()]
-assert len(rs) == 2 and all(r.get("ok") for r in rs), rs
+assert len(rs) == 4 and all(r.get("ok") for r in rs), rs
 m = json.load(open(sys.argv[2]))
 assert m.get("format") == "swift-metrics" and m.get("version") == 1, m
+h = m["histograms"]
+for name in ("serve.edit_latency_us", "serve.query_latency_us"):
+    assert h.get(name, {}).get("count") == 1, (name, h.get(name))
 json.load(open(sys.argv[3]))  # must at least parse
 EOF
 [ $? -eq 0 ] || fail "shutdown did not flush valid metrics/trace files"

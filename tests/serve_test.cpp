@@ -207,6 +207,19 @@ TEST(ServeStore, RoundTripWarmStartReusesEverySummary) {
   std::remove(Path.c_str());
 }
 
+TEST(ServeStore, GoldenStoreWarmStartReusesEverySummary) {
+  // An earlier build wrote this store (SWIFT_CORPUS_DIR is injected by
+  // tests/CMakeLists.txt): every stored oracle fingerprint must still
+  // verify against the points-to sets computed today.
+  ServeEngine W(ServeEngine::FromStore{SWIFT_CORPUS_DIR
+                                       "/golden.swiftstore"},
+                EngineOptions());
+  EditResult R = W.solveInitial();
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(R.Reanalyzed, 0u);
+  EXPECT_EQ(R.Reused, 6u);
+}
+
 TEST(ServeStore, CorruptStoreIsRejected) {
   std::string Path = tempPath("serve_store_corrupt.bin");
   {
