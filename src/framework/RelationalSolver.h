@@ -11,12 +11,17 @@
 /// exit plus the set of entry states the summary ignores because pruning
 /// dropped the relations covering them.
 ///
-/// Procedures are processed in callee-first SCC order; each SCC iterates
-/// until its summaries stabilize (the fix_eta0 computation of Section 3.5,
-/// restricted to the requested procedures). Within a procedure, a worklist
-/// runs over the CFG; prune-and-clean is applied to every computed node
-/// value, so the number of case-split relations per point stays bounded by
-/// theta.
+/// Procedures are processed in callee-first SCC order, and each SCC is
+/// solved to its fixpoint change-driven (the fix_eta0 computation of
+/// Section 3.5, restricted to the requested procedures): every member
+/// starts dirty, a round analyzes only the dirty members, and a member
+/// whose summary changes marks dirty the members that call it. Callee
+/// SCCs are final, so a non-recursive procedure is analyzed exactly once;
+/// a recursive SCC runs the same sequence of summaries as re-analyzing
+/// every member per round would, minus the analyses that could only
+/// reproduce a stored summary. Within a procedure, a worklist runs over
+/// the CFG; prune-and-clean is applied to every computed node value, so
+/// the number of case-split relations per point stays bounded by theta.
 ///
 /// With NumThreads > 1 the callee-first sweep becomes an SCC-DAG wavefront:
 /// a thread pool dispatches any SCC whose callee SCCs have completed, so
@@ -69,10 +74,11 @@ inline constexpr uint64_t NoPruning = UINT64_MAX;
 inline constexpr uint64_t DefaultMaxRelsPerPoint = 1 << 17;
 
 /// Convergence guards for the *pruned* analysis: a recursive SCC whose
-/// summaries keep refining past this many iterations, or a procedure
-/// whose ignore set exceeds this many disjuncts, has its summary soundly
-/// degraded to "ignore every input" — callers then always fall back to
-/// the top-down analysis for it, which preserves coincidence.
+/// summaries still change in round MaxSccIterations (the guard counts
+/// solveScc rounds), or a procedure whose ignore set exceeds
+/// MaxSigmaDisjuncts disjuncts, has its summary soundly degraded to
+/// "ignore every input" — callers then always fall back to the top-down
+/// analysis for it, which preserves coincidence.
 inline constexpr uint64_t MaxSccIterations = 16;
 inline constexpr uint64_t MaxSigmaDisjuncts = 256;
 
@@ -278,44 +284,75 @@ private:
     return Groups;
   }
 
-  /// Iterates one SCC's members until their summaries stabilize (charging
-  /// \p S). Precondition: every callee SCC's summaries are final.
+  /// Solves one SCC's members to their fixpoint (charging \p S).
+  /// Precondition: every callee SCC's summaries are final.
+  ///
+  /// Change-driven: every member starts dirty; a round analyzes the dirty
+  /// members in ProcId order, each reading the latest summaries; a member
+  /// whose stored summary changes marks dirty the members that call it
+  /// (itself included, when self-recursive), which a later position picks
+  /// up in the same round and an earlier one in the next. analyzeProc is
+  /// a deterministic function of the callee summaries it reads, so a
+  /// member that is not dirty would only reproduce its stored summary:
+  /// skipping it leaves every summary as re-analyzing all members per
+  /// round would. The group is done when no member is dirty.
   bool solveScc(const std::vector<ProcId> &Members, Stats &S) {
     // One span per SCC: in the wavefront these land on the worker thread
     // that ran the group, so per-worker utilization reads directly off
     // the trace timeline.
     obs::TraceSpan SccSpan("bu", "bu.scc", {"proc", Members.front()},
                            {"members", Members.size()});
-    bool Changed = true;
-    uint64_t Iters = 0;
-    while (Changed) {
+    std::vector<uint8_t> Dirty(Members.size(), 1);
+    size_t NumDirty = Members.size();
+    for (uint64_t Round = 1; NumDirty != 0; ++Round) {
       if (cancelled())
         return false;
-      Changed = false;
       ++S.counter(CtrSccIterations);
-      if (++Iters > MaxSccIterations) {
-        for (ProcId P : Members)
-          degrade(P);
-        ++S.counter(CtrSccDegraded);
-        break;
-      }
-      for (ProcId P : Members) {
+      bool RoundChanged = false;
+      for (size_t I = 0; I != Members.size(); ++I) {
+        if (!Dirty[I])
+          continue;
+        Dirty[I] = 0;
+        --NumDirty;
+        ProcId P = Members[I];
         ++S.counter(CtrProcAnalyses);
         Summary New;
         if (!analyzeProc(P, New, S))
           return false;
+        bool Changed;
         if (New.SigmaAll.size() > MaxSigmaDisjuncts) {
-          if (degrade(P)) {
+          Changed = degrade(P);
+          if (Changed)
             ++S.counter(CtrSigmaDegraded);
-            Changed = true;
+        } else {
+          Changed = !HasSummary[P] || !equal(New, Summaries[P]);
+          if (Changed) {
+            Summaries[P] = std::move(New);
+            HasSummary[P] = 1;
           }
+        }
+        if (!Changed)
           continue;
+        RoundChanged = true;
+        // Members are sorted by ProcId (sccGroups).
+        for (ProcId C : CG.callers(P)) {
+          auto It = std::lower_bound(Members.begin(), Members.end(), C);
+          size_t J = It - Members.begin();
+          if (It != Members.end() && *It == C && !Dirty[J]) {
+            Dirty[J] = 1;
+            ++NumDirty;
+          }
         }
-        if (!HasSummary[P] || !equal(New, Summaries[P])) {
-          Summaries[P] = std::move(New);
-          HasSummary[P] = 1;
-          Changed = true;
-        }
+      }
+      // The guard counts rounds that change a summary: an SCC still
+      // changing one in round MaxSccIterations is degraded even when the
+      // change left no member dirty, so whether it fires does not depend
+      // on which members happen to call the last one to change.
+      if (RoundChanged && Round == MaxSccIterations) {
+        for (ProcId P : Members)
+          degrade(P);
+        ++S.counter(CtrSccDegraded);
+        break;
       }
     }
     if (SccDone)

@@ -8,8 +8,8 @@
 /// Directed tests of framework mechanics that the property tests only
 /// exercise statistically: the observation manifest (errors on diverging
 /// paths inside served callees), Lambda flow through never-returning
-/// callees, trigger postponement, budget exhaustion, and summary
-/// degradation soundness.
+/// callees, trigger postponement, budget exhaustion, summary degradation
+/// soundness, and the bottom-up solver's per-SCC analysis schedule.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -198,6 +198,11 @@ TEST(FrameworkTest, DegradedSummariesStayCoincident) {
   for (uint64_t Theta : {1u, 2u}) {
     TsRunResult Sw = runTypestateSwift(Ctx, 1, Theta);
     ASSERT_FALSE(Sw.Timeout);
+    // twist's summary still changes in every one of the guard's rounds,
+    // and the SCC is degraded after the last.
+    EXPECT_EQ(Sw.Stat.get("bu.proc_analyses"), MaxSccIterations)
+        << "theta " << Theta;
+    EXPECT_EQ(Sw.Stat.get("bu.scc_degraded"), 1u) << "theta " << Theta;
     EXPECT_EQ(Sw.MainExit, Td.MainExit) << "theta " << Theta;
     EXPECT_EQ(Sw.ErrorSites, Td.ErrorSites) << "theta " << Theta;
   }
@@ -220,6 +225,63 @@ TEST(FrameworkTest, PureTopDownNeverTriggers) {
   EXPECT_EQ(Td.Stat.get("swift.bu_triggers"), 0u);
   EXPECT_EQ(Td.Stat.get("td.bu_served_calls"), 0u);
   EXPECT_EQ(Td.BuRelations, 0u);
+}
+
+/// The bottom-up schedule is change-driven: a procedure is re-analyzed
+/// only when a callee summary it reads changed. Each case pins the exact
+/// number of analyses and rounds, and the result still agrees with TD.
+TEST(FrameworkTest, BottomUpScheduleIsChangeDriven) {
+  struct Case {
+    const char *Name;
+    const char *Procs;
+    uint64_t Analyses, Rounds;
+    size_t ErrorSites; ///< TD's, so the BU comparison is not vacuous.
+  };
+  const Case Cases[] = {
+      // Every callee is final before its caller runs: each reachable
+      // procedure is analyzed once, in one round per SCC.
+      {"acyclic chain", R"(
+        proc leaf(x) { x.open(); x.close(); }
+        proc mid(x) { leaf(x); }
+        proc top(x) { mid(x); leaf(x); }
+        proc unused(x) { x.close(); }
+        proc main() { a = new File; top(a); b = new File; mid(b); b.close(); }
+      )", 4, 4, 1},
+      // walk reads its own summary, which changes in its first two
+      // rounds: three rounds for walk, one for main.
+      {"self recursion", R"(
+        proc walk(x) { if (*) { x.open(); x.close(); walk(x); } }
+        proc main() { a = new File; walk(a); a.close(); }
+      )", 4, 4, 1},
+      // {ping, pong} under a non-recursive caller: both change in the
+      // first two rounds; the third re-analyzes only ping, whose callee
+      // pong changed last. main: one round.
+      {"mutual recursion", R"(
+        proc ping(x) { if (*) { x.open(); pong(x); } }
+        proc pong(x) { if (*) { x.close(); ping(x); } else { x.open(); } }
+        proc main() {
+          a = new File; ping(a); a.close();
+          b = new File; pong(b);
+        }
+      )", 6, 4, 2},
+  };
+  for (const Case &C : Cases) {
+    SCOPED_TRACE(C.Name);
+    std::unique_ptr<Program> Prog = parseProgram(
+        std::string("typestate File { start c; error e; c -open-> o; "
+                    "o -close-> c; }\n") +
+        C.Procs);
+    TsContext Ctx(*Prog, Prog->symbols().intern("File"));
+    TsRunResult Bu = runTypestateBu(Ctx);
+    ASSERT_FALSE(Bu.Timeout);
+    EXPECT_EQ(Bu.Stat.get("bu.proc_analyses"), C.Analyses);
+    EXPECT_EQ(Bu.Stat.get("bu.scc_iterations"), C.Rounds);
+    EXPECT_EQ(Bu.Stat.get("bu.scc_degraded"), 0u);
+    TsRunResult Td = runTypestateTd(Ctx);
+    EXPECT_EQ(Td.ErrorSites.size(), C.ErrorSites);
+    EXPECT_EQ(Bu.ErrorSites, Td.ErrorSites);
+    EXPECT_EQ(Bu.MainExit, Td.MainExit);
+  }
 }
 
 } // namespace
