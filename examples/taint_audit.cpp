@@ -6,33 +6,35 @@
 ///
 /// \file
 /// The second framework instantiation in action: an interprocedural
-/// taint audit (the kill/gen analysis family of the paper's Section 5.2).
-/// Values originating from `Request` allocations are tainted; passing a
-/// tainted value to the `exec` sink is a leak unless it went through the
-/// sanitizer (which rebinds the variable to a fresh `Clean` value).
+/// taint audit (the kill/gen analysis family of the paper's Section 5.2),
+/// run by the registry's taint client. Values originating from `Source`
+/// allocations are tainted; calling the `sink` method on a tainted value
+/// is a leak unless it went through the sanitizer (which rebinds the
+/// variable to a fresh `Clean` value).
 ///
 //===----------------------------------------------------------------------===//
 
-#include "killgen/KgRunner.h"
+#include "clients/Registry.h"
 #include "lang/Lower.h"
 
 #include <cstdio>
 
 using namespace swift;
+using namespace swift::clients;
 
 static const char *AuditProgram = R"(
-  typestate Request { start raw; error e1; raw -exec-> raw; }
-  typestate Clean   { start ok;  error e2; ok -exec-> ok; }
-  typestate Db      { start d;   error e3; }
+  typestate Source { start raw; error e1; raw -sink-> raw; }
+  typestate Clean  { start ok;  error e2; ok -sink-> ok; }
+  typestate Db     { start d;   error e3; }
 
   proc main() {
-    r = new Request;       // taint source
+    r = new Source;        // taint source
     q = handle(r);
-    q.exec();              // leak: q is the raw request, reached a sink
+    q.sink();              // leak: q is the raw source, reached a sink
 
-    s = new Request;
+    s = new Source;
     t = sanitize(s);
-    t.exec();              // safe: t is a fresh Clean value
+    t.sink();              // safe: t is a fresh Clean value
 
     db = new Db;
     db.cache = r;          // taint escapes into the heap...
@@ -55,34 +57,33 @@ static const char *AuditProgram = R"(
   }
 
   proc audit(v) {
-    v.exec();
+    v.sink();
   }
 )";
 
 int main() {
   std::unique_ptr<Program> Prog = parseProgram(AuditProgram);
-  KgContext Ctx(*Prog, {Prog->symbols().intern("Request")},
-                {Prog->symbols().intern("exec")});
 
-  std::printf("Taint audit: sources = new Request, sinks = .exec()\n\n");
+  std::printf("Taint audit: sources = new Source, sinks = .sink()\n\n");
 
-  KgRunResult Td = runTaintTd(Ctx);
-  KgRunResult Sw = runTaintSwift(Ctx, 2, 4);
-  KgRunResult Bu = runTaintBu(Ctx);
+  DomainRunResult Td = runClientDomain("taint", *Prog, DomainMode::Td, 1, 1, 1);
+  DomainRunResult Sw =
+      runClientDomain("taint", *Prog, DomainMode::Swift, 2, 4, 1);
+  DomainRunResult Bu = runClientDomain("taint", *Prog, DomainMode::Bu, 1, 1, 1);
+  bool Agree = Td.Reports == Sw.Reports && Td.Reports == Bu.Reports;
 
   std::printf("leaks found (TD): %zu, (SWIFT): %zu, (BU): %zu — "
               "analyses agree: %s\n\n",
-              Td.Leaks.size(), Sw.Leaks.size(), Bu.Leaks.size(),
-              (Td.Leaks == Sw.Leaks && Td.Leaks == Bu.Leaks) ? "yes"
-                                                             : "NO");
+              Td.Reports.size(), Sw.Reports.size(), Bu.Reports.size(),
+              Agree ? "yes" : "NO");
 
-  for (const auto &[P, N] : Td.Leaks)
+  for (const auto &[P, N] : Td.Reports)
     std::printf("  tainted value reaches the sink in %s (node %u): %s\n",
                 Prog->symbols().text(Prog->proc(P).name()).c_str(), N,
                 Prog->proc(P).node(N).Cmd.str(*Prog).c_str());
 
-  std::printf("\nExpected: two leaks (the raw request in main, and the "
+  std::printf("\nExpected: two leaks (the raw source in main, and the "
               "heap-laundered one in audit); the sanitized flow is "
               "clean.\n");
-  return Td.Leaks.size() == 2 && Td.Leaks == Sw.Leaks ? 0 : 1;
+  return Td.Reports.size() == 2 && Agree ? 0 : 1;
 }

@@ -23,8 +23,8 @@
 ///
 /// Taint convention: source classes are those named "File" or "Source";
 /// sink methods are those named "open" or "sink". This makes the fuzzer's
-/// single File protocol a rich taint workload and keeps the client
-/// differentially comparable with the built-in killgen instantiation.
+/// single File protocol a rich taint workload; tests/corpus/taint_leaks.txt
+/// pins the client's leak sites on it.
 ///
 //===----------------------------------------------------------------------===//
 

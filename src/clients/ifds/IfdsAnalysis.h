@@ -12,13 +12,13 @@
 /// `RelationalSolver<IfdsAnalysis>` instantiate once and run null-deref,
 /// reaching-defs, taint, or any future kill/gen problem unchanged.
 ///
-/// The bottom-up side is synthesized from the fact-level flow exactly as
-/// `KgAnalysis` does for the built-in taint instance (the paper's Section
-/// 5 recipe): relations are the identity on the universe minus an
-/// explicit exclusion set, or a single summary edge (from, to); `rtrans`
-/// peels each command's kill/gen footprint off the identity into explicit
-/// edges, and `composeCall` routes edges through callee summaries via
-/// enter / combine with Sigma pullbacks for pruned inputs.
+/// The bottom-up side is synthesized from the fact-level flow (the paper's
+/// Section 5 recipe for the kill/gen family): relations are the identity
+/// on the universe minus an explicit exclusion set, or a single summary
+/// edge (from, to); `rtrans` peels each command's kill/gen footprint off
+/// the identity into explicit edges, and `composeCall` routes edges
+/// through callee summaries via enter / combine with Sigma pullbacks for
+/// pruned inputs.
 ///
 /// States are single dense fact ids, so the data-oriented core's interned
 /// state table degenerates to the identity map and the memoized

@@ -38,6 +38,10 @@
 ///    differs from plain frame survival — the call-level analogue of
 ///    `affected`.
 ///
+/// `KillGenTest.FootprintIsExact` (tests/clients_test.cpp) checks the
+/// first bullet, and that the adapter's `rtrans` of the identity agrees
+/// with `transfer`, for every client.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SWIFT_CLIENTS_IFDS_IFDSPROBLEM_H

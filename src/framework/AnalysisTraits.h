@@ -10,7 +10,8 @@
 /// B satisfying conditions C1-C3 of the paper). An analysis plugs in by
 /// providing a traits class with the following members; see
 /// typestate/TsAnalysis.h for the flagship instantiation and
-/// killgen/KgAnalysis.h for a second, IFDS-style one.
+/// clients/ifds/IfdsAnalysis.h for a second, IFDS-style one (the kill/gen
+/// family of Section 5.2).
 ///
 /// \code
 ///   struct MyAnalysis {

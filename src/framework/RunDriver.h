@@ -7,8 +7,8 @@
 /// \file
 /// The run driver shared by every (A, B) pair: the decisions that do not
 /// depend on the domain, made once. The domain runners
-/// (typestate/Runner, clients/Registry, killgen/KgRunner), the serve
-/// engine and the shard roles all drive the two solvers through these:
+/// (typestate/Runner, clients/Registry), the serve engine and the shard
+/// roles all drive the two solvers through these:
 ///
 ///  * RunLimits and RunCounts: the limits of one run, and the counts every
 ///    result reports, filled by recordRun;

@@ -11,12 +11,11 @@
 ///
 /// The digest tests pin every points-to set the public interface exposes
 /// on the 12 Table 1 configurations and fuzz seeds 0..199 against
-/// tests/corpus/alias_digests.txt. To re-record after a deliberate change
-/// of the analysis's results, empty that file, run the two AliasDigest
-/// tests, and keep the lines their failures print after "record: ".
+/// tests/corpus/alias_digests.txt (re-recording: tests/RecordedDigests.h).
 ///
 //===----------------------------------------------------------------------===//
 
+#include "RecordedDigests.h"
 #include "alias/AliasAnalysis.h"
 #include "difftest/Difftest.h"
 #include "genprog/Generator.h"
@@ -29,8 +28,6 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <fstream>
-#include <map>
 #include <string>
 
 using namespace swift;
@@ -281,28 +278,9 @@ std::string digestLine(const std::string &Name, const Program &Prog) {
   return Buf;
 }
 
-/// The recorded lines, keyed by name.
-const std::map<std::string, std::string> &recordedDigests() {
-  static const std::map<std::string, std::string> Lines = [] {
-    std::map<std::string, std::string> M;
-    std::ifstream IS(SWIFT_CORPUS_DIR "/alias_digests.txt");
-    std::string Line;
-    while (std::getline(IS, Line))
-      if (!Line.empty() && Line[0] != '#')
-        M[Line.substr(0, Line.find(' '))] = Line;
-    return M;
-  }();
-  return Lines;
-}
-
 void expectRecorded(const std::string &Name, const Program &Prog) {
-  std::string Actual = digestLine(Name, Prog);
-  auto It = recordedDigests().find(Name);
-  if (It == recordedDigests().end() || It->second != Actual)
-    ADD_FAILURE() << "points-to digest differs from the recorded one\n"
-                  << "recorded: "
-                  << (It == recordedDigests().end() ? "(none)" : It->second)
-                  << "\nrecord: " << Actual;
+  digests::expectRecorded("alias_digests.txt", digestLine(Name, Prog),
+                          "points-to digest");
 }
 
 TEST(AliasDigest, Table1ConfigsMatchRecorded) {

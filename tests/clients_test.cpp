@@ -7,24 +7,38 @@
 /// \file
 /// Unit tests for the client-domain layer: the interval transformer
 /// algebra (the C2 exactness the relational summaries rely on), the
-/// per-client abstract semantics on handcrafted programs, the
-/// taint-adapter-vs-killgen differential (the IFDS adapter subsumes the
-/// built-in kill/gen instantiation), and the in-process sharded-BU
-/// wavefront smoke (worker count never changes any result).
+/// per-client abstract semantics on handcrafted programs, the kill/gen
+/// contract of the IFDS clients (the exact footprint the bottom-up
+/// synthesis of the paper's Section 5.2 relies on), the taint client's
+/// directed cases and its verdicts pinned against
+/// tests/corpus/taint_leaks.txt (re-recording: tests/RecordedDigests.h),
+/// and the in-process sharded-BU wavefront smoke (worker count never
+/// changes any result).
 ///
 //===----------------------------------------------------------------------===//
 
+#include "RecordedDigests.h"
 #include "clients/Registry.h"
+#include "clients/ifds/IfdsAnalysis.h"
+#include "clients/ifds/NullDerefProblem.h"
+#include "clients/ifds/ReachingDefsProblem.h"
+#include "clients/ifds/TaintProblem.h"
 #include "clients/interval/IntervalDomain.h"
 #include "difftest/Difftest.h"
 #include "genprog/Fuzzer.h"
+#include "genprog/Generator.h"
+#include "genprog/Workloads.h"
 #include "ir/Dumper.h"
-#include "killgen/KgAnalysis.h"
-#include "killgen/KgRunner.h"
+#include "lang/Lower.h"
+#include "support/Hashing.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cinttypes>
+#include <cstdio>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -255,30 +269,239 @@ TEST(ClientSemantics, IntervalCalleeStoreRoutesThroughCall) {
 }
 
 //===----------------------------------------------------------------------===//
-// Adapter-vs-killgen differential
+// The kill/gen family (Section 5.2): contract, taint cases, coincidence
 //===----------------------------------------------------------------------===//
 
-TEST(ClientDifferential, TaintAdapterMatchesKillgen) {
-  // The IFDS-shaped taint client subsumes the built-in kill/gen
-  // instantiation: identical leak sites on fuzzed workloads, in every
-  // mode. (Fuzz programs use exactly the File/open convention both share.)
-  for (uint64_t Seed = 1; Seed <= 20; ++Seed) {
-    auto Prog = generateFuzzProgram(difftest::fuzzConfigForSeed(Seed));
-    ASSERT_NE(Prog, nullptr);
-    KgContext Ctx(*Prog, {Prog->symbols().intern("File")},
-                  {Prog->symbols().intern("open")});
-    KgRunResult Kg = runTaintTd(Ctx);
-    ASSERT_FALSE(Kg.Timeout);
-
-    DomainRunResult Td =
-        runClientDomain("taint", *Prog, DomainMode::Td, 1, 1, 1);
-    ASSERT_FALSE(Td.Timeout);
-    EXPECT_EQ(Td.Reports, Kg.Leaks) << "seed " << Seed;
-
-    DomainRunResult Sw =
-        runClientDomain("taint", *Prog, DomainMode::Swift, 1, 2, 1);
-    EXPECT_EQ(Sw.Reports, Kg.Leaks) << "seed " << Seed << " (swift)";
+/// Expects the synthesis contract of Section 5.2 for \p Pb on its
+/// program: for every non-call, non-nop command and every non-Lambda
+/// fact, a fact outside affected(cmd) transfers to exactly itself, and
+/// rtrans of the identity relation followed by applyRel equals transfer
+/// (C1 with r = id). Stops at the first violation.
+void expectFootprintExact(const ifds::IfdsProblem &Pb) {
+  using ifds::FactId;
+  using ifds::IfdsAnalysis;
+  const Program &Prog = Pb.program();
+  ifds::IfdsContext Ctx(Prog, Pb);
+  std::vector<FactId> Affected, Out;
+  for (ProcId P = 0; P != Prog.numProcs(); ++P) {
+    const Procedure &Proc = Prog.proc(P);
+    for (NodeId N : Proc.reachableRpo()) {
+      const Command &Cmd = Proc.node(N).Cmd;
+      if (Cmd.Kind == CmdKind::Call || Cmd.Kind == CmdKind::Nop)
+        continue;
+      Affected.clear();
+      Pb.affected(Cmd, Affected);
+      std::sort(Affected.begin(), Affected.end());
+      std::vector<IfdsAnalysis::Rel> FromId = IfdsAnalysis::rtrans(
+          Ctx, P, Cmd, IfdsAnalysis::identityRel(Ctx));
+      for (FactId F = 1; F != Pb.numFacts(); ++F) {
+        Out.clear();
+        Pb.transfer(P, Cmd, F, Out);
+        auto Where = [&] {
+          return Pb.name() + ": " + Cmd.str(Prog) + " on " + Pb.factText(F);
+        };
+        if (!std::binary_search(Affected.begin(), Affected.end(), F)) {
+          ASSERT_EQ(Out, std::vector<FactId>{F}) << Where();
+        }
+        std::set<FactId> Lhs, Rhs(Out.begin(), Out.end());
+        for (const IfdsAnalysis::Rel &R : FromId)
+          if (auto O = IfdsAnalysis::applyRel(Ctx, R, ifds::IfdsFact::of(F)))
+            Lhs.insert(O->Id);
+        ASSERT_EQ(Lhs, Rhs) << Where();
+      }
+    }
   }
+}
+
+TEST(KillGenTest, FootprintIsExact) {
+  std::vector<std::unique_ptr<Program>> Progs;
+  Progs.push_back(parseProgram(R"(
+    typestate File { start s; error e; s -open-> s; s -close-> s; }
+    proc main() {
+      a = new File;
+      b = a;
+      a.fld = b;
+      c = a.fld;
+      c.open();
+      b.close();
+      b = null;
+    }
+  )"));
+  for (uint64_t Seed = 1; Seed <= 40; ++Seed)
+    Progs.push_back(generateFuzzProgram(difftest::fuzzConfigForSeed(Seed)));
+  for (const NamedWorkload &W : benchmarkWorkloads())
+    if (W.Name == "jpat-p" || W.Name == "elevator")
+      Progs.push_back(generateWorkload(W.Config));
+  for (const std::unique_ptr<Program> &Prog : Progs) {
+    expectFootprintExact(ifds::TaintProblem(
+        *Prog, taintSourceClasses(*Prog), taintSinkMethods(*Prog)));
+    expectFootprintExact(ifds::NullDerefProblem(*Prog));
+    expectFootprintExact(ifds::ReachingDefsProblem(*Prog));
+  }
+}
+
+TEST(KillGenTest, DirectLeak) {
+  auto Prog = parseProgram(R"(
+    typestate File { start s; error e; s -open-> s; }
+    proc main() {
+      v = new File;
+      v.open();
+    }
+  )");
+  EXPECT_EQ(runAllModes("taint", *Prog).Reports.size(), 1u);
+}
+
+TEST(KillGenTest, LeakThroughCopyAndCall) {
+  auto Prog = parseProgram(R"(
+    typestate File { start s; error e; s -open-> s; s -close-> s; }
+    proc main() {
+      v = new File;
+      w = v;
+      use(w);
+      u = new File;
+      u.close();    // close is not a sink
+    }
+    proc use(f) { f.open(); }
+  )");
+  DomainRunResult R = runAllModes("taint", *Prog);
+  ASSERT_EQ(R.Reports.size(), 1u);
+  EXPECT_EQ(R.Reports.begin()->first,
+            Prog->procId(Prog->symbols().intern("use")));
+}
+
+TEST(KillGenTest, LeakThroughHeapField) {
+  auto Prog = parseProgram(R"(
+    typestate File { start s; error e; s -open-> s; }
+    typestate Box { start b; error eb; }
+    proc main() {
+      v = new File;
+      b = new Box;
+      b.slot = v;
+      w = b.slot;
+      w.open();
+    }
+  )");
+  DomainRunResult R = runAllModes("taint", *Prog);
+  ASSERT_EQ(R.Reports.size(), 1u);
+  EXPECT_EQ(R.Reports.begin()->first, Prog->mainProc());
+}
+
+TEST(KillGenTest, KillByOverwrite) {
+  auto Prog = parseProgram(R"(
+    typestate File { start s; error e; s -open-> s; }
+    typestate Clean { start c; error ec; c -open-> c; }
+    proc main() {
+      v = new File;
+      v = new Clean;   // kills v's taint
+      v.open();
+    }
+  )");
+  EXPECT_TRUE(runAllModes("taint", *Prog).Reports.empty());
+}
+
+TEST(KillGenTest, ReturnValuePropagatesTaint) {
+  auto Prog = parseProgram(R"(
+    typestate File { start s; error e; s -open-> s; }
+    proc make() { t = new File; return t; }
+    proc main() {
+      x = make();
+      x.open();
+    }
+  )");
+  EXPECT_EQ(runAllModes("taint", *Prog).Reports.size(), 1u);
+}
+
+/// Kill/gen (Kg) coincidence on small fuzzed programs, shaped unlike
+/// ClientCampaign.Taint's: SWIFT at (k, theta) in {(1,1), (2,1), (2,4)}
+/// and BU report the TD leak sites.
+class KgCoincidenceTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(KgCoincidenceTest, SwiftAndBuAgreeWithTd) {
+  FuzzConfig FC;
+  FC.Seed = GetParam() * 31 + 5;
+  FC.NumProcs = 3 + GetParam() % 3;
+  FC.StmtsPerProc = 6 + GetParam() % 5;
+  FC.NumVars = 3;
+  std::unique_ptr<Program> Prog = generateFuzzProgram(FC);
+
+  RunLimits L;
+  L.MaxSteps = 5'000'000;
+  L.MaxSeconds = 20;
+  DomainRunResult Td =
+      runClientDomain("taint", *Prog, DomainMode::Td, 1, 1, 1, L);
+  ASSERT_FALSE(Td.Timeout);
+
+  for (auto [K, Theta] :
+       {std::pair<uint64_t, uint64_t>{1, 1}, {2, 1}, {2, 4}}) {
+    DomainRunResult Sw =
+        runClientDomain("taint", *Prog, DomainMode::Swift, K, Theta, 1, L);
+    ASSERT_FALSE(Sw.Timeout);
+    EXPECT_EQ(Sw.Reports, Td.Reports)
+        << "seed=" << FC.Seed << " k=" << K << " theta=" << Theta;
+  }
+
+  DomainRunResult Bu =
+      runClientDomain("taint", *Prog, DomainMode::Bu, 1, 1, 1, L);
+  if (!Bu.Timeout) {
+    EXPECT_EQ(Bu.Reports, Td.Reports) << "seed=" << FC.Seed;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, KgCoincidenceTest,
+                         ::testing::Range<uint64_t>(1, 31));
+
+//===----------------------------------------------------------------------===//
+// Recorded taint verdicts
+//===----------------------------------------------------------------------===//
+
+/// One line of tests/corpus/taint_leaks.txt: "<name> <leaks> <hash>".
+/// The hash folds the leak sites sorted by (procedure name, node).
+std::string taintLine(const std::string &Name, const Program &Prog,
+                      const std::set<std::pair<ProcId, NodeId>> &Leaks) {
+  std::vector<std::pair<std::string, NodeId>> Sites;
+  for (const auto &[P, N] : Leaks)
+    Sites.emplace_back(Prog.symbols().text(Prog.proc(P).name()), N);
+  std::sort(Sites.begin(), Sites.end());
+  uint64_t H = 0x7a147;
+  for (const auto &[Proc, N] : Sites) {
+    H = hashCombine(H, crc32(Proc.data(), Proc.size()));
+    H = hashCombine(H, N);
+  }
+  char Buf[128];
+  std::snprintf(Buf, sizeof(Buf), "%s %zu %016" PRIx64, Name.c_str(),
+                Sites.size(), H);
+  return Buf;
+}
+
+/// Expects the taint client in TD, SWIFT (k1/theta2, k5/theta4) and BU to
+/// report the recorded leak sites of \p Prog.
+void expectTaintRecorded(const std::string &Name, const Program &Prog) {
+  struct ModeCase {
+    DomainMode Mode;
+    uint64_t K, Theta;
+    const char *Label;
+  };
+  for (const ModeCase &C : {ModeCase{DomainMode::Td, 1, 1, "td"},
+                            ModeCase{DomainMode::Swift, 1, 2, "swift k1/th2"},
+                            ModeCase{DomainMode::Swift, 5, 4, "swift k5/th4"},
+                            ModeCase{DomainMode::Bu, 1, 1, "bu"}}) {
+    DomainRunResult R = runClientDomain("taint", Prog, C.Mode, C.K, C.Theta, 1);
+    EXPECT_FALSE(R.Timeout) << Name << " " << C.Label;
+    digests::expectRecorded("taint_leaks.txt", taintLine(Name, Prog, R.Reports),
+                            std::string("taint leaks (") + C.Label + ")");
+  }
+}
+
+TEST(TaintDigest, Table1ConfigsMatchRecorded) {
+  for (const NamedWorkload &W : benchmarkWorkloads())
+    expectTaintRecorded("table1:" + W.Name, *generateWorkload(W.Config));
+}
+
+TEST(TaintDigest, FuzzSeedsMatchRecorded) {
+  for (uint64_t Seed = 0; Seed != 200; ++Seed)
+    expectTaintRecorded(
+        "fuzz:" + std::to_string(Seed),
+        *generateFuzzProgram(difftest::fuzzConfigForSeed(Seed)));
 }
 
 //===----------------------------------------------------------------------===//
