@@ -29,10 +29,11 @@ using namespace swift::bench;
 namespace {
 
 TsRunResult runVariant(const TsContext &Ctx, uint64_t K, uint64_t Theta,
-                       bool Manifest, const RunLimits &L) {
+                       bool Manifest, const RunLimits &L, unsigned Threads) {
   SwiftRunConfig SC;
   SC.K = K;
   SC.Theta = Theta;
+  SC.Threads = Threads;
   SC.ObservationManifest = Manifest;
   return runTypestateSwift(Ctx, SC, L);
 }
@@ -76,7 +77,7 @@ int main(int Argc, char **Argv) {
   for (uint64_t K : {2, 5, 20, 100}) {
     std::printf("%8llu |", static_cast<unsigned long long>(K));
     for (uint64_t Theta : {1, 2, 4, 8}) {
-      TsRunResult R = runVariant(Ctx, K, Theta, true, L);
+      TsRunResult R = runVariant(Ctx, K, Theta, true, L, O.Threads);
       Record("swift_k" + std::to_string(K) + "_th" + std::to_string(Theta),
              R);
       char Cell[40];
@@ -97,7 +98,7 @@ int main(int Argc, char **Argv) {
   std::printf("%-10s %10s %12s %10s %8s\n", "variant", "time",
               "td-summaries", "bu-served", "errors");
   for (bool Manifest : {true, false}) {
-    TsRunResult R = runVariant(Ctx, 5, 2, Manifest, L);
+    TsRunResult R = runVariant(Ctx, 5, 2, Manifest, L, O.Threads);
     Record(Manifest ? "manifest_on" : "manifest_off", R);
     std::printf("%-10s %10s %12s %10s %8zu\n",
                 Manifest ? "manifest" : "plain", timeCell(R).c_str(),
@@ -108,23 +109,5 @@ int main(int Argc, char **Argv) {
   std::printf("\nThe plain variant may serve more calls (weaker guard) "
               "but can miss error sites that only manifest on diverging "
               "paths inside served callees.\n");
-
-  std::printf("\nAblation (c): synchronous vs asynchronous bottom-up "
-              "runs (the paper's Section 7 parallelization sketch), "
-              "k=5, theta=2\n\n");
-  std::printf("%-10s %10s %12s %10s\n", "variant", "time",
-              "td-summaries", "triggers");
-  for (bool Async : {false, true}) {
-    TsRunResult R = runTypestateSwift(Ctx, 5, 2, limits(O), Async, O.Threads);
-    Rep.add(Name, Async ? "swift_k5_th2_async" : "swift_k5_th2_sync", R);
-    std::printf("%-10s %10s %12s %10llu\n", Async ? "async" : "sync",
-                timeCell(R).c_str(),
-                Stats::formatThousands(R.TdSummaries).c_str(),
-                static_cast<unsigned long long>(
-                    R.Stat.get("swift.bu_triggers")));
-  }
-  std::printf("\nAsync overlaps summary computation with top-down "
-              "analysis; while a run is in flight, arriving contexts are "
-              "analyzed top-down (more summaries, same results).\n");
   return Rep.flush() ? 0 : 1;
 }

@@ -11,10 +11,10 @@
 /// how much of the verdict vector a partial run resolves (resolved =
 /// proved or error-reported; the partial-soundness oracle guarantees the
 /// resolved verdicts agree with the full run's), the peak pressure level
-/// reached, and the budget's phase attribution (TD vs sync-BU vs
-/// async-BU steps). The expected shape: resolved fraction grows
-/// monotonically with budget and reaches 1.0 at the full budget, while
-/// the Yellow/Red ladder shifts steps from BU minting back to TD.
+/// reached, and the budget's phase attribution (TD vs BU steps). The
+/// expected shape: resolved fraction grows monotonically with budget and
+/// reaches 1.0 at the full budget, while the Yellow/Red ladder shifts
+/// steps from BU minting back to TD.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -55,10 +55,10 @@ int main(int Argc, char **Argv) {
   std::printf("Degradation sweep: governed SWIFT (k=5, theta=2) at "
               "fractional step budgets, wall cap %.0fs per run\n\n",
               O.BudgetSeconds);
-  std::printf("%-10s %-7s | %9s %9s %8s | %9s %9s %9s | %s\n", "name",
-              "budget", "steps", "resolved", "pressure", "td", "sync-bu",
-              "async-bu", "result");
-  std::printf("%.110s\n",
+  std::printf("%-10s %-7s | %9s %9s %8s | %9s %9s | %s\n", "name",
+              "budget", "steps", "resolved", "pressure", "td", "bu",
+              "result");
+  std::printf("%.100s\n",
               "----------------------------------------------------------"
               "----------------------------------------------------------");
 
@@ -95,15 +95,13 @@ int main(int Argc, char **Argv) {
         JR.set("unresolved",
                double(R.G.Verdicts.size() - size_t(R.Resolved)));
       }
-      std::printf("%-10s %-7s | %9llu %5llu/%-3zu %8s | %9s %9s %9s | %s\n",
+      std::printf("%-10s %-7s | %9llu %5llu/%-3zu %8s | %9s %9s | %s\n",
                   W.Name.c_str(), T.Label,
                   static_cast<unsigned long long>(R.G.Run.Steps),
                   static_cast<unsigned long long>(R.Resolved),
                   R.G.Verdicts.size(), pressureName(R.G.Peak),
                   Stats::formatThousands(S.get("budget.td_steps")).c_str(),
                   Stats::formatThousands(S.get("budget.sync_bu_steps"))
-                      .c_str(),
-                  Stats::formatThousands(S.get("budget.async_bu_steps"))
                       .c_str(),
                   R.G.Partial ? "partial" : "complete");
       std::fflush(stdout);

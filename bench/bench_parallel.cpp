@@ -57,8 +57,7 @@ int main(int Argc, char **Argv) {
     double BuBase = 0;
     uint64_t TdSumsBase = 0, BuRelsBase = 0;
     for (unsigned T : {1u, 2u, 4u, 8u}) {
-      TsRunResult R =
-          runTypestateSwift(Ctx, 5, 2, L, /*AsyncBu=*/false, T);
+      TsRunResult R = runTypestateSwift(Ctx, 5, 2, L, T);
       double BuSecs =
           static_cast<double>(R.Stat.get("swift.bu_time_us")) / 1e6;
       Rep.add(Name, "swift_k5_th2_t" + std::to_string(T), R);

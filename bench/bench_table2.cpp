@@ -56,8 +56,7 @@ int main(int Argc, char **Argv) {
 
     TsRunResult Td = runTypestateTd(Ctx, L);
     TsRunResult Bu = runTypestateBu(Ctx, L, O.Threads);
-    TsRunResult Sw =
-        runTypestateSwift(Ctx, 5, 2, L, /*AsyncBu=*/false, O.Threads);
+    TsRunResult Sw = runTypestateSwift(Ctx, 5, 2, L, O.Threads);
     Rep.add(W.Name, "td", Td).set("context_s", CtxSeconds);
     Rep.add(W.Name, "bu", Bu).set("context_s", CtxSeconds);
     Rep.add(W.Name, "swift_k5_th2", Sw).set("context_s", CtxSeconds);

@@ -201,11 +201,8 @@ void OracleRun::checkAgainstTd(const TsConfigRun &R, const TsRunResult &Td) {
 }
 
 void OracleRun::checkThreadDeterminism(const std::vector<TsConfigRun> &Runs) {
-  // Group synchronous runs by everything except the worker count; results
-  // must be bit-identical within a group. Async runs are excluded: the
-  // summary install point depends on scheduling, so summary counts and
-  // error-point placement may differ run to run (sites and exit states may
-  // not, which checkAgainstTd already enforces).
+  // Group runs by everything except the worker count; results must be
+  // bit-identical within a group.
   std::map<std::string, const TsConfigRun *> Rep;
   for (const TsConfigRun &R : Runs) {
     if (R.Result.Timeout)
@@ -213,7 +210,7 @@ void OracleRun::checkThreadDeterminism(const std::vector<TsConfigRun> &Runs) {
     std::string Key;
     if (R.Kind == TsConfigRun::Mode::Bu)
       Key = "bu";
-    else if (R.Kind == TsConfigRun::Mode::Swift && !R.Swift.AsyncBu)
+    else if (R.Kind == TsConfigRun::Mode::Swift)
       Key = "swift/k" + std::to_string(R.Swift.K) + "/th" +
             std::to_string(R.Swift.Theta) +
             (R.Swift.ObservationManifest ? "" : "/nomanifest");

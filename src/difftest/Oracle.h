@@ -6,14 +6,14 @@
 ///
 /// \file
 /// The differential-testing oracle: runs the concrete interpreter as
-/// ground truth and the whole analysis-mode matrix (TD, pure BU, SWIFT
-/// sync/async at several (k, theta), thread counts, manifest on/off) on
+/// ground truth and the whole analysis-mode matrix (TD, pure BU, SWIFT at
+/// several (k, theta), thread counts, manifest on/off) on
 /// one program, then checks every relation the paper guarantees:
 ///
 ///  * Soundness — every allocation site that concretely reaches the error
 ///    state is reported by every complete manifest-on run.
 ///  * TD coincidence (Theorem 3.1) — SWIFT's error sites and main-exit
-///    states equal TD's at every (k, theta, threads, async).
+///    states equal TD's at every (k, theta, threads).
 ///  * Error-point containment — a SWIFT error point is a TD error point
 ///    unless it sits at a call command (the observation manifest reports
 ///    errors inside summary-served callees at the serving call site).
@@ -21,8 +21,8 @@
 ///    initial state, matches TD's error sites and main-exit states.
 ///  * Manifest-off ablation — value results still coincide; error sites
 ///    may only under-approximate TD's, never over-approximate.
-///  * Thread determinism — synchronous runs differing only in worker
-///    count are identical in every result field.
+///  * Thread determinism — runs differing only in worker count are
+///    identical in every result field.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -77,7 +77,7 @@ const char *checkKindName(CheckKind K);
 /// One oracle failure: which guarantee broke, on which configuration.
 struct Violation {
   CheckKind Kind;
-  std::string Config; ///< runAllConfigs name, e.g. "swift/k1/th2/async".
+  std::string Config; ///< runAllConfigs name, e.g. "swift/k1/th2/t4".
   std::string Detail;
 };
 

@@ -31,7 +31,9 @@
 /// because iteration inside an SCC stays sequential, an SCC reads only the
 /// *final* summaries of its callee SCCs, and each summary is written to its
 /// own per-procedure slot. Each worker charges a local Stats merged on
-/// completion; the Budget is shared and thread-safe.
+/// completion; the Budget is shared and thread-safe, and it is the one
+/// stop signal: once it is exhausted every worker fails at its next step
+/// and the remaining SCCs are skipped.
 ///
 /// The prune operator follows Section 3.4: case-split relations are ranked
 /// by the frequency with which the top-down analysis has seen entry states
@@ -49,14 +51,12 @@
 #include "ir/CallGraph.h"
 #include "ir/Program.h"
 #include "obs/Trace.h"
-#include "support/Cancellation.h"
 #include "support/Stats.h"
 #include "support/ThreadPool.h"
 #include "support/Timer.h"
 
 #include <algorithm>
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <mutex>
@@ -120,10 +120,9 @@ public:
   using FreqProvider = std::function<
       const std::unordered_map<State, uint64_t> *(ProcId)>;
 
-  /// \p Gov, when given, supplies the cooperative CancelToken (a
-  /// cancelled run aborts between node visits, exactly like a budget
-  /// exhaustion) and receives memory charges for in-flight relation
-  /// stores. The governor's Budget should be \p B.
+  /// \p Gov, when given, receives memory charges for in-flight relation
+  /// stores; crossing its memory cap exhausts the shared Budget, which
+  /// stops the run at its next step. The governor's Budget should be \p B.
   RelationalSolver(const Context &Ctx, const Program &Prog,
                    const CallGraph &CG, uint64_t Theta, FreqProvider Freq,
                    Budget &B, Stats &S,
@@ -132,8 +131,7 @@ public:
                    ResourceGovernor *Gov = nullptr)
       : Ctx(Ctx), Prog(Prog), CG(CG), Theta(Theta), Freq(std::move(Freq)),
         Bud(B), Stat(S), MaxRels(MaxRelsPerPoint),
-        CollectObs(CollectObservations), Threads(NumThreads), Gov(Gov),
-        Cancel(Gov ? &Gov->cancelToken() : nullptr) {
+        CollectObs(CollectObservations), Threads(NumThreads), Gov(Gov) {
     Summaries.resize(Prog.numProcs());
     HasSummary.assign(Prog.numProcs(), 0);
     Bindings.resize(Prog.numProcs());
@@ -148,7 +146,7 @@ public:
       for (const std::vector<ProcId> &G : Groups)
         if (!solveScc(G, Stat))
           return false;
-      return !cancelled();
+      return true;
     }
     return runWavefront(Groups);
   }
@@ -218,8 +216,6 @@ private:
     Ignore Sigma;
     bool HasLambda = false; ///< Does the Lambda identity reach this node?
   };
-
-  bool cancelled() const { return Cancel && Cancel->requested(); }
 
   /// Per-relation footprint for the governor's memory estimate; analyses
   /// with out-of-line storage provide AN::relBytes, others fall back to
@@ -305,8 +301,6 @@ private:
     std::vector<uint8_t> Dirty(Members.size(), 1);
     size_t NumDirty = Members.size();
     for (uint64_t Round = 1; NumDirty != 0; ++Round) {
-      if (cancelled())
-        return false;
       ++S.counter(CtrSccIterations);
       bool RoundChanged = false;
       for (size_t I = 0; I != Members.size(); ++I) {
@@ -389,13 +383,7 @@ private:
       PendingDeps[I] = CalleeGroups.size();
     }
 
-    // The pool observes the governor's CancelToken: tasks dequeued after
-    // cancellation are dropped unexecuted. Dropped RunGroup bodies never
-    // submit their dependents, so the cascade below keeps the Pending
-    // count honest and wait() still returns; the cancel check in the
-    // return value (not Failed alone) is what keeps the result honest —
-    // a drained-but-cancelled wavefront has incomplete summaries.
-    ThreadPool Pool(Threads, Cancel);
+    ThreadPool Pool(Threads);
     std::mutex M;
     // Relaxed suffices for Failed: it makes a single false -> true
     // transition, the loads are only an early-out hint, and the
@@ -408,7 +396,7 @@ private:
     // On failure (budget / relation cap) the cascade still runs so every
     // group is accounted for; the work itself is skipped.
     std::function<void(size_t)> RunGroup = [&](size_t I) {
-      if (!Failed.load(std::memory_order_relaxed) && !cancelled()) {
+      if (!Failed.load(std::memory_order_relaxed)) {
         Stats Local;
         if (!solveScc(Groups[I], Local))
           Failed.store(true, std::memory_order_relaxed);
@@ -439,7 +427,7 @@ private:
     // after the last RunGroup invocation has fully returned; nothing
     // touches RunGroup, the pool, or this frame afterwards.
     Pool.wait();
-    return !Failed.load(std::memory_order_relaxed) && !cancelled();
+    return !Failed.load(std::memory_order_relaxed);
   }
 
   /// Sorts, dedupes, drops relations covered by Sigma (excl), and applies
@@ -537,8 +525,6 @@ private:
     InList[Proc.entry()] = true;
 
     while (!Work.empty()) {
-      if (cancelled())
-        return false;
       if (!Bud.step())
         return false;
       ++S.counter(CtrBuSteps);
@@ -720,10 +706,9 @@ private:
   uint64_t MaxRels;
   bool CollectObs;
   unsigned Threads;
-  ResourceGovernor *Gov;      ///< Optional; see constructor.
-  const CancelToken *Cancel;  ///< From Gov; null when ungoverned.
-  DepRecorder Deps;           ///< Optional; see setDepRecorder.
-  SccObserver SccDone;        ///< Optional; see setSccObserver.
+  ResourceGovernor *Gov; ///< Optional; see constructor.
+  DepRecorder Deps;      ///< Optional; see setDepRecorder.
+  SccObserver SccDone;   ///< Optional; see setSccObserver.
   std::vector<Summary> Summaries;
   /// Byte-sized (not vector<bool>) so concurrent SCC groups writing
   /// distinct procedures never touch the same object.
@@ -740,7 +725,7 @@ private:
   Stats::Counter CtrRelCapHits = Stats::id("bu.rel_cap_hits");
   Stats::Counter CtrPrunedRelations = Stats::id("bu.pruned_relations");
   /// Budget steps this bottom-up run consumed; the tabulation solver
-  /// re-attributes it to budget.sync_bu_steps / budget.async_bu_steps.
+  /// re-attributes it to budget.sync_bu_steps.
   Stats::Counter CtrBuSteps = Stats::id("bu.steps");
 };
 

@@ -43,40 +43,32 @@
 /// produced, so worklist order, budget step counts, and every reported
 /// fact are identical to the unmemoized solver's.
 ///
-/// Concurrency (the paper's Section 7 sketch, generalized): with
-/// Config::AsyncBu, triggered bottom-up runs execute on worker threads
-/// while the top-down analysis continues. Up to Config::MaxAsyncJobs runs
-/// with pairwise-disjoint trigger frontiers may be in flight at once;
-/// every run draws steps from the *shared* budget, so the total cost of a
-/// hybrid run stays bounded by the same cap as the synchronous baselines.
-/// Each bottom-up solve itself parallelizes over the call-graph SCC DAG
-/// with Config::BuThreads workers (see RelationalSolver). Workers touch
-/// only immutable analysis state plus a materialized frequency snapshot;
-/// the interner and memo tables are top-down-thread-only.
+/// Concurrency (the paper's Section 7 sketch, inside one trigger): every
+/// triggered bottom-up run is a synchronous RelationalSolver solve that
+/// draws from the same budget as the top-down loop, so a hybrid run costs
+/// at most the cap of the baselines it is compared against. The solve
+/// itself parallelizes over the call-graph SCC DAG with Config::BuThreads
+/// workers (see RelationalSolver); the workers read only immutable
+/// analysis state plus a materialized frequency snapshot, while the
+/// interner and memo tables stay on the top-down thread.
 ///
 /// Resource governance (Config::Gov): an attached ResourceGovernor turns
 /// the binary run/abort model into staged degradation. The top-down loop
 /// polls the governor between worklist pops and charges it for every
 /// interned state and path edge; under Yellow pressure newly triggered
-/// synchronous bottom-up runs halve theta and no new asynchronous jobs
-/// are minted, under Red no bottom-up runs start, installed summary
-/// caches are shed, and in-flight asynchronous jobs are cancelled through
-/// the governor's CancelToken. All of it is sound: serving is always
-/// guarded by Sigma, and the top-down route is always available
-/// (Theorem 3.1). Budget consumption is attributed per phase in Stats
-/// (budget.td_steps / budget.sync_bu_steps / budget.async_bu_steps) so a
-/// timeout report says where the budget went; steps burned by an
-/// asynchronous run that was cancelled mid-flight (Red latch or budget
-/// exhaustion) and installed nothing are shed work, recorded under
-/// gov.cancelled_bu_steps / gov.bu_cancelled instead of the productive
-/// async-BU phase.
+/// bottom-up runs halve theta, and under Red no bottom-up runs start and
+/// installed summary caches are shed. All of it is sound: serving is
+/// always guarded by Sigma, and the top-down route is always available
+/// (Theorem 3.1). A bottom-up solve in flight stops only when the shared
+/// budget does. Budget consumption is attributed per phase in Stats
+/// (budget.td_steps / budget.sync_bu_steps) so a timeout report says where
+/// the budget went.
 ///
 /// Observability (src/obs): when tracing is enabled the solver emits a
-/// "td.run" span, "bu.sync"/"bu.async" spans per bottom-up run,
-/// per-procedure "bu.serve"/"bu.fallback"/"bu.install" instants,
-/// "swift.k_trip" trigger instants, "gov.shed" instants, and a periodic
-/// "td.path_edges" counter track. Every site is a single relaxed atomic
-/// load when tracing is off.
+/// "td.run" span, a "bu.sync" span per bottom-up run, per-procedure
+/// "bu.serve"/"bu.fallback"/"bu.install" instants, "swift.k_trip" trigger
+/// instants, "gov.shed" instants, and a periodic "td.path_edges" counter
+/// track. Every site is a single relaxed atomic load when tracing is off.
 ///
 /// snapshot()/restore() capture and re-seed the solver's mutable state
 /// for checkpoint/resume of budget-limited runs; see TabSnapshot.h for
@@ -100,15 +92,11 @@
 #include "support/Timer.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <optional>
-#include <thread>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 namespace swift {
@@ -134,21 +122,10 @@ public:
     /// an ablation knob: value results stay coincident, but errors on
     /// paths that diverge inside served callees can be missed.
     bool ObservationManifest = true;
-    /// Run triggered bottom-up analyses on worker threads while the
-    /// top-down analysis continues (the parallelization sketched in the
-    /// paper's Section 7). Summaries are installed when a worker
-    /// finishes; calls arriving in between are simply analyzed top-down,
-    /// which preserves coincidence — the install point is immaterial.
-    bool AsyncBu = false;
     /// Worker threads inside each bottom-up solve (SCC-DAG wavefront);
     /// 1 = the sequential callee-first sweep. Summaries are identical for
     /// every value.
     unsigned BuThreads = 1;
-    /// With AsyncBu: bound on concurrently in-flight bottom-up runs.
-    /// Triggers whose frontier overlaps an in-flight run's frontier are
-    /// skipped (they would duplicate its work); disjoint frontiers
-    /// proceed in parallel up to this bound.
-    unsigned MaxAsyncJobs = 2;
     /// Optional resource governor (see file comment). Must outlive the
     /// solver; its Budget should be the one passed to the constructor so
     /// pressure fractions describe the budget actually being consumed.
@@ -180,26 +157,15 @@ public:
               intern(AN::lambda()));
 
     while (!Work.empty()) {
-      if (!AsyncJobs.empty())
-        pollAsync();
-      if (!Bud.step()) {
-        joinAsync();
+      if (!Bud.step())
         return false;
-      }
       ++Stat.counter(CtrTdSteps);
       if (Cfg.Gov)
         governPoll();
       auto [P, E] = Work.back();
       Work.pop_back();
       process(P, E);
-
-      // The worklist may drain while background bottom-up runs are still
-      // in flight; their summaries can unlock nothing new (the top-down
-      // fixpoint is already complete), but join for cleanliness.
-      if (Work.empty() && !AsyncJobs.empty())
-        joinAsync();
     }
-    joinAsync();
     return true;
   }
 
@@ -208,10 +174,9 @@ public:
   //===--------------------------------------------------------------------===
 
   /// Captures the solver's mutable state. Callable once run() has
-  /// returned (asynchronous jobs are then joined); bottom-up caches and
-  /// memo tables are intentionally dropped (see TabSnapshot.h).
+  /// returned; bottom-up caches and memo tables are intentionally dropped
+  /// (see TabSnapshot.h).
   Snapshot snapshot() const {
-    assert(AsyncJobs.empty() && "join asynchronous jobs before snapshot");
     Snapshot S;
     S.States = States;
 
@@ -770,8 +735,6 @@ private:
   /// Governed degradation, checked between worklist pops. Shedding runs
   /// once: installed bottom-up caches are dropped (callers fall back to
   /// the always-sound top-down route) and their memory charge released.
-  /// In-flight asynchronous jobs observe the governor's CancelToken —
-  /// requested when Red latched — and abort without installing.
   void governPoll() {
     Pressure L = Cfg.Gov->poll();
     if (L == Pressure::Red && !GovShedDone) {
@@ -791,19 +754,16 @@ private:
   /// Runs the pruned bottom-up analysis on every procedure reachable from
   /// \p G (Algorithm 1's run_bu), unless some reachable procedure has not
   /// been seen by the top-down analysis yet (the paper's postponement for
-  /// its first problematic scenario in Section 4). With Config::AsyncBu
-  /// the run happens on a worker thread and the top-down analysis keeps
-  /// going; runs with disjoint frontiers may overlap, all drawing from
-  /// the one shared budget.
+  /// its first problematic scenario in Section 4). The top-down analysis
+  /// resumes once the run has installed its summaries or run out of
+  /// budget.
   void tryRunBu(ProcId G) {
-    // Degradation ladder: Red mints no bottom-up summaries at all;
-    // Yellow stops minting *asynchronous* (speculative) ones and, below,
-    // halves theta for synchronous runs.
+    // Degradation ladder: Red mints no bottom-up summaries at all; Yellow
+    // halves theta.
     uint64_t EffTheta = Cfg.Theta;
     if (Cfg.Gov) {
       Pressure L = Cfg.Gov->level();
-      if (pressureAtLeast(L, Pressure::Red) ||
-          (Cfg.AsyncBu && pressureAtLeast(L, Pressure::Yellow))) {
+      if (pressureAtLeast(L, Pressure::Red)) {
         ++Stat.counter(CtrGovBuSuppressed);
         return;
       }
@@ -814,9 +774,6 @@ private:
       }
     }
 
-    if (Cfg.AsyncBu)
-      pollAsync(); // Reap finished jobs first — frees slots.
-
     std::vector<ProcId> F = CG.reachableFrom(G);
     for (ProcId Q : F)
       if (!EverCalled.get(Q)) {
@@ -824,98 +781,35 @@ private:
         return;
       }
 
-    if (Cfg.AsyncBu) {
-      if (AsyncJobs.size() >= Cfg.MaxAsyncJobs) {
-        ++Stat.counter(CtrBuBusySkips);
-        return;
-      }
-      // A frontier overlapping an in-flight run would recompute (some of)
-      // the same summaries; only disjoint frontiers proceed, so a trigger
-      // on an unrelated subtree is no longer dropped just because another
-      // run is in flight.
-      for (const std::unique_ptr<AsyncJob> &Job : AsyncJobs)
-        for (ProcId Q : F)
-          if (Job->FSet.count(Q)) {
-            ++Stat.counter(CtrBuBusySkips);
-            return;
-          }
-    }
-
     // Materialize the frequency multisets M for the pruning ranking.
-    // Workers only ever read this immutable snapshot — never the
-    // interner or the memo tables, which stay top-down-thread-only.
-    auto Freq = std::make_shared<
-        std::vector<std::unordered_map<State, uint64_t>>>();
-    Freq->resize(Prog.numProcs());
+    // Wavefront workers only ever read this immutable snapshot — never
+    // the interner or the memo tables, which stay top-down-thread-only.
+    std::vector<std::unordered_map<State, uint64_t>> Freq(Prog.numProcs());
     for (ProcId Q : F)
       Incoming[Q].forEach([&](uint32_t StateId, uint64_t Count) {
-        (*Freq)[Q].emplace(States[StateId], Count);
+        Freq[Q].emplace(States[StateId], Count);
       });
 
-    if (!Cfg.AsyncBu) {
-      obs::TraceSpan BuSpan("bu", "bu.sync", {"root", G},
-                            {"frontier", F.size()});
-      Timer BuTimer;
-      // Local stats: the run's bu.steps are re-attributed to the
-      // synchronous-phase budget counter before merging.
-      Stats BuStats;
-      RelationalSolver<AN> Solver(
-          Ctx, Prog, CG, EffTheta,
-          [Freq](ProcId Q) { return &(*Freq)[Q]; }, Bud, BuStats,
-          DefaultMaxRelsPerPoint, Cfg.ObservationManifest, Cfg.BuThreads,
-          Cfg.Gov);
-      bool Ok = Solver.run(F);
-      BuStats.counter(CtrBuTimeUs) +=
-          static_cast<uint64_t>(BuTimer.seconds() * 1e6);
-      Stat.counter(CtrSyncBuSteps) += BuStats.get("bu.steps");
-      Stat.merge(BuStats);
-      if (!Ok)
-        return; // Budget exhausted or cancelled; leave uninstalled.
-      for (ProcId Q : F)
-        install(Q, Solver.summary(Q));
-      ++Stat.counter(CtrBuTriggers);
-      return;
-    }
-
-    // Asynchronous run: the worker owns a snapshot of the frequency data,
-    // touches only immutable analysis state (context, program, call
-    // graph), and charges the *shared* budget — an async hybrid run costs
-    // at most the same cap as the synchronous baselines it is compared
-    // against.
-    auto Job = std::make_unique<AsyncJob>();
-    Job->F = std::move(F);
-    Job->FSet.insert(Job->F.begin(), Job->F.end());
-    AsyncJob *J = Job.get();
-    const Context *CtxPtr = &Ctx;
-    const Program *ProgPtr = &Prog;
-    const CallGraph *CGPtr = &CG;
-    Budget *BudPtr = &Bud;
-    uint64_t Theta = EffTheta;
-    bool Manifest = Cfg.ObservationManifest;
-    unsigned BuThreads = Cfg.BuThreads;
-    ResourceGovernor *Gov = Cfg.Gov;
-    uint64_t Root = G;
-    J->Worker = std::thread([J, Freq, CtxPtr, ProgPtr, CGPtr, BudPtr,
-                             Theta, Manifest, BuThreads, Gov, Root]() {
-      obs::TraceSpan BuSpan("bu", "bu.async", {"root", Root},
-                            {"frontier", J->F.size()});
-      Timer BuTimer;
-      RelationalSolver<AN> Solver(
-          *CtxPtr, *ProgPtr, *CGPtr, Theta,
-          [Freq](ProcId Q) { return &(*Freq)[Q]; }, *BudPtr,
-          J->WorkerStats, DefaultMaxRelsPerPoint, Manifest, BuThreads,
-          Gov);
-      J->Ok = Solver.run(J->F);
-      if (J->Ok)
-        for (ProcId Q : J->F)
-          J->Results.push_back(Solver.summary(Q));
-      J->WorkerStats.counter("swift.bu_time_us") +=
-          static_cast<uint64_t>(BuTimer.seconds() * 1e6);
-      // Release ordering: publishes Ok/Results/WorkerStats to the
-      // acquire load in pollAsync (see AsyncJob::Done below).
-      J->Done.store(true, std::memory_order_release);
-    });
-    AsyncJobs.push_back(std::move(Job));
+    obs::TraceSpan BuSpan("bu", "bu.sync", {"root", G},
+                          {"frontier", F.size()});
+    Timer BuTimer;
+    // Local stats: the run's bu.steps are re-attributed to the
+    // synchronous-phase budget counter before merging.
+    Stats BuStats;
+    RelationalSolver<AN> Solver(
+        Ctx, Prog, CG, EffTheta, [&Freq](ProcId Q) { return &Freq[Q]; },
+        Bud, BuStats, DefaultMaxRelsPerPoint, Cfg.ObservationManifest,
+        Cfg.BuThreads, Cfg.Gov);
+    bool Ok = Solver.run(F);
+    BuStats.counter(CtrBuTimeUs) +=
+        static_cast<uint64_t>(BuTimer.seconds() * 1e6);
+    Stat.counter(CtrSyncBuSteps) += BuStats.get("bu.steps");
+    Stat.merge(BuStats);
+    if (!Ok)
+      return; // Budget exhausted; leave uninstalled.
+    for (ProcId Q : F)
+      install(Q, Solver.summary(Q));
+    ++Stat.counter(CtrBuTriggers);
   }
 
   void install(ProcId Q, BuSummary Summary) {
@@ -932,49 +826,6 @@ private:
       Cfg.Gov->charge(Bytes);
       GovBuBytes += Bytes;
     }
-  }
-
-  /// Installs finished asynchronous runs' summaries and merges their
-  /// stats; leaves still-running jobs in flight.
-  void pollAsync() {
-    for (size_t I = 0; I != AsyncJobs.size();) {
-      if (AsyncJobs[I]->Done.load(std::memory_order_acquire))
-        finishJob(I);
-      else
-        ++I;
-    }
-  }
-
-  /// Joins job \p I (blocking if still running), installs its results,
-  /// and drops it.
-  void finishJob(size_t I) {
-    AsyncJob &Job = *AsyncJobs[I];
-    Job.Worker.join();
-    if (Job.Ok) {
-      for (size_t K = 0; K != Job.F.size(); ++K)
-        install(Job.F[K], std::move(Job.Results[K]));
-      ++Stat.counter(CtrBuTriggers);
-      Stat.counter(CtrAsyncBuSteps) += Job.WorkerStats.get("bu.steps");
-    } else {
-      // Cancelled mid-flight (Red latch) or budget-exhausted: nothing was
-      // installed, and the top-down analysis re-spends budget on the very
-      // calls this run was meant to serve. Attributing the partial steps
-      // to budget.async_bu_steps would double-count them against the
-      // productive async phase; they are shed work, recorded under gov.*.
-      Stat.counter(CtrGovCancelledSteps) += Job.WorkerStats.get("bu.steps");
-      ++Stat.counter(CtrGovBuCancelled);
-      obs::instant("gov", "gov.bu_cancelled",
-                   {"steps", Job.WorkerStats.get("bu.steps")});
-    }
-    Stat.merge(Job.WorkerStats);
-    AsyncJobs.erase(AsyncJobs.begin() + I);
-  }
-
-  /// Blocks on every in-flight asynchronous run, installing results.
-  /// join() already blocks until the worker completes — no spinning.
-  void joinAsync() {
-    while (!AsyncJobs.empty())
-      finishJob(0);
   }
 
   const Context &Ctx;
@@ -1032,24 +883,6 @@ private:
   bool GovShedDone = false;   ///< Red-pressure cache shed ran.
   uint64_t GovBuBytes = 0;    ///< Memory charged for installed summaries.
 
-  struct AsyncJob {
-    std::thread Worker;
-    /// Done's release store in the worker pairs with the acquire load in
-    /// pollAsync: observing Done == true guarantees Ok, Results, and
-    /// WorkerStats are fully written. finishJob additionally join()s,
-    /// which synchronizes-with thread exit — so the blocking path needs
-    /// no ordering from Done at all.
-    std::atomic<bool> Done{false};
-    bool Ok = false;
-    std::vector<ProcId> F;
-    std::unordered_set<ProcId> FSet; ///< For frontier-disjointness tests.
-    std::vector<BuSummary> Results;
-    Stats WorkerStats;
-  };
-  /// In-flight asynchronous bottom-up runs; pairwise-disjoint frontiers,
-  /// at most Config::MaxAsyncJobs.
-  std::vector<std::unique_ptr<AsyncJob>> AsyncJobs;
-
   // Interned counter handles (resolved once; bumped per event).
   Stats::Counter CtrPathEdges = Stats::id("td.path_edges");
   Stats::Counter CtrTdSummaries = Stats::id("td.summaries");
@@ -1057,22 +890,15 @@ private:
   Stats::Counter CtrBuFallbackCalls = Stats::id("td.bu_fallback_calls");
   Stats::Counter CtrBuTriggers = Stats::id("swift.bu_triggers");
   Stats::Counter CtrBuPostponed = Stats::id("swift.bu_postponed");
-  Stats::Counter CtrBuBusySkips = Stats::id("swift.bu_busy_skips");
   Stats::Counter CtrBuTimeUs = Stats::id("swift.bu_time_us");
   Stats::Counter CtrBuSummaryRels = Stats::id("swift.bu_summary_rels");
   Stats::Counter CtrBuSummarySigma = Stats::id("swift.bu_summary_sigma");
   // Budget phase attribution and governor events.
   Stats::Counter CtrTdSteps = Stats::id("budget.td_steps");
   Stats::Counter CtrSyncBuSteps = Stats::id("budget.sync_bu_steps");
-  Stats::Counter CtrAsyncBuSteps = Stats::id("budget.async_bu_steps");
   Stats::Counter CtrGovBuSuppressed = Stats::id("gov.bu_suppressed");
   Stats::Counter CtrGovThetaShrunk = Stats::id("gov.theta_shrunk");
   Stats::Counter CtrGovShedSummaries = Stats::id("gov.shed_summaries");
-  // Shed async work: cancelled runs' step spend is *not* part of the
-  // budget.* phase partition (those counters cover work that produced
-  // installed summaries or top-down facts).
-  Stats::Counter CtrGovBuCancelled = Stats::id("gov.bu_cancelled");
-  Stats::Counter CtrGovCancelledSteps = Stats::id("gov.cancelled_bu_steps");
 };
 
 } // namespace swift

@@ -125,10 +125,10 @@ std::string swift::checkpointToText(const Program &Prog,
     OS << "td";
   else
     OS << C.Config.K;
+  // The async field is kept for format compatibility and always 0.
   OS << " theta " << C.Config.Theta << " manifest "
-     << (C.Config.ObservationManifest ? 1 : 0) << " async "
-     << (C.Config.AsyncBu ? 1 : 0) << " threads " << C.Config.Threads
-     << '\n';
+     << (C.Config.ObservationManifest ? 1 : 0) << " async 0 threads "
+     << C.Config.Threads << '\n';
   OS << "steps " << C.StepsConsumed << '\n';
   OS << "program begin\n";
   OS << programToText(Prog);
@@ -211,7 +211,10 @@ ParsedCheckpoint swift::parseCheckpointText(std::string_view Text) {
     C.Config.K = T[2] == "td" ? NoBuTrigger : num(T[2], R.Line);
     C.Config.Theta = num(T[4], R.Line);
     C.Config.ObservationManifest = num(T[6], R.Line, 1) != 0;
-    C.Config.AsyncBu = num(T[8], R.Line, 1) != 0;
+    // async 1 was written by asynchronous bottom-up runs, which no longer
+    // exist. The snapshot holds no bottom-up state, so such a checkpoint
+    // resumes synchronously; the field is still range-checked.
+    (void)num(T[8], R.Line, 1);
     // The same range swift-analyze --threads accepts.
     if (!cli::parseUnsigned(T[10], C.Config.Threads, 1, 1024))
       fail(R.Line, "threads must be in [1, 1024], got '" +

@@ -15,27 +15,30 @@
 ///
 ///   Green  — normal operation.
 ///   Yellow — (fraction >= YellowAt) the hybrid degrades: newly triggered
-///            synchronous bottom-up runs halve theta (smaller summaries,
-///            larger Sigma, more top-down fallback — sound by the paper's
-///            Theorem 3.1), and no new *asynchronous* bottom-up jobs are
-///            minted (speculative summary work stops first).
-///   Red    — (fraction >= RedAt) no bottom-up runs at all, installed
-///            summary caches are shed to free memory, and in-flight
-///            asynchronous jobs are cancelled through the CancelToken.
+///            bottom-up runs halve theta (smaller summaries, larger
+///            Sigma, more top-down fallback — sound by the paper's
+///            Theorem 3.1).
+///   Red    — (fraction >= RedAt) no bottom-up runs at all, and installed
+///            summary caches are shed to free memory.
 ///
 /// Levels only ratchet upward (the latch): degradation actions are
 /// monotone, so a transient dip in the wall-clock fraction never re-grows
-/// summary caches that were already shed. Exceeding the hard memory cap
-/// exhausts the shared Budget, which makes every solver abort at its next
-/// step() — the run then returns a *partial but sound* result instead of
-/// nothing (see typestate/Runner.h's governed entry point).
+/// summary caches that were already shed. The shared Budget is the one
+/// stop signal: exceeding the hard memory cap, an interrupt and the
+/// gov.tick failpoint all exhaust it, which makes every solver — the
+/// top-down loop and any bottom-up solve in flight — abort at its next
+/// step(). The run then returns a *partial but sound* result instead of
+/// nothing (see typestate/Runner.h's governed entry point). Latching Red
+/// stops nothing by itself: the thresholds are checked only by
+/// poll()/recompute() on the top-down thread, never while a bottom-up
+/// solve is running.
 ///
 /// Determinism: with step-only limits (no wall clock, no memory cap) the
 /// pressure level observed at each top-down poll point is a pure function
-/// of the deterministic step count, so governed synchronous runs are
-/// reproducible at any thread count. Wall-clock and memory fractions are
-/// inherently timing-dependent; they are best-effort degradation signals,
-/// not part of the determinism contract.
+/// of the deterministic step count, so governed runs are reproducible at
+/// any thread count. Wall-clock and memory fractions are inherently
+/// timing-dependent; they are best-effort degradation signals, not part
+/// of the determinism contract.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,7 +47,6 @@
 
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
-#include "support/Cancellation.h"
 #include "support/FailPoint.h"
 #include "support/Timer.h"
 
@@ -86,12 +88,12 @@ struct GovernorLimits {
 };
 
 /// One governor per analysis run. Owns the run's Budget (shared by the
-/// top-down solver and all bottom-up workers) and its CancelToken.
+/// top-down solver and all bottom-up workers).
 ///
-/// Thread-safety: charge()/release()/level()/cancelToken() may be called
-/// from any thread; poll() must be called from a single thread (the
-/// top-down solver's loop — it is the only writer of the throttle counter
-/// and the cached fraction).
+/// Thread-safety: charge()/release()/level() may be called from any
+/// thread; poll() must be called from a single thread (the top-down
+/// solver's loop — it is the only writer of the throttle counter and the
+/// cached fraction).
 class ResourceGovernor {
 public:
   explicit ResourceGovernor(const GovernorLimits &Limits)
@@ -102,12 +104,11 @@ public:
 
   Budget &budget() { return Bud; }
   const Budget &budget() const { return Bud; }
-  const CancelToken &cancelToken() const { return Cancel; }
   const GovernorLimits &limits() const { return Lim; }
 
   /// Adds \p Bytes to the memory estimate. Crossing the hard cap
-  /// exhausts the shared Budget (every solver aborts at its next step),
-  /// latches Red, and requests cancellation.
+  /// exhausts the shared Budget (every solver aborts at its next step)
+  /// and latches Red.
   void charge(uint64_t Bytes) {
     uint64_t Now = Mem.fetch_add(Bytes, std::memory_order_relaxed) + Bytes;
     uint64_t Pk = PeakMem.load(std::memory_order_relaxed);
@@ -170,12 +171,12 @@ public:
       latch(Pressure::Yellow);
   }
 
-  /// Async-signal-safe interrupt: exhausts the shared Budget, ratchets
-  /// the level to Red, and requests cancellation — every solver then
-  /// winds down at its next step() / cancellation check exactly as if a
-  /// hard limit tripped, yielding the partial-but-sound result path.
-  /// Unlike latch() this emits no trace events (obs::instant allocates
-  /// and locks), so a SIGINT/SIGTERM handler may call it directly.
+  /// Async-signal-safe interrupt: exhausts the shared Budget and ratchets
+  /// the level to Red — every solver, a bottom-up solve in flight
+  /// included, then winds down at its next step() exactly as if a hard
+  /// limit tripped, yielding the partial-but-sound result path. Unlike
+  /// latch() this emits no trace events (obs::instant allocates and
+  /// locks), so a SIGINT/SIGTERM handler may call it directly.
   void interruptFromSignal() {
     Bud.exhaust();
     int Want = static_cast<int>(Pressure::Red);
@@ -184,7 +185,6 @@ public:
            !Level.compare_exchange_weak(Cur, Want, std::memory_order_release,
                                         std::memory_order_relaxed)) {
     }
-    Cancel.request();
   }
 
   /// The latched (maximum ever observed) pressure level.
@@ -205,9 +205,9 @@ private:
     obs::counterEvent("gov.pressure", "pct", Pct);
   }
 
-  /// Ratchets the level up to at least \p P; Red requests cancellation.
-  /// Release ordering pairs with level()'s acquire so a worker seeing Red
-  /// also sees every write the governor's thread made before latching.
+  /// Ratchets the level up to at least \p P. Release ordering pairs with
+  /// level()'s acquire so a thread seeing Red also sees every write the
+  /// governor's thread made before latching.
   void latch(Pressure P) {
     int Want = static_cast<int>(P);
     int Cur = Level.load(std::memory_order_relaxed);
@@ -224,13 +224,10 @@ private:
     if (Raised)
       obs::instant("gov", "gov.latch",
                    {"level", static_cast<uint64_t>(Want)});
-    if (P == Pressure::Red)
-      Cancel.request();
   }
 
   GovernorLimits Lim;
   Budget Bud;
-  CancelToken Cancel;
   std::atomic<uint64_t> Mem{0};
   std::atomic<uint64_t> PeakMem{0};
   std::atomic<int> Level{static_cast<int>(Pressure::Green)};

@@ -15,10 +15,6 @@
 ///  * A task that throws never deadlocks wait(): the worker catches the
 ///    exception, still decrements the pending count, and wait() rethrows
 ///    the first captured exception once the queue has drained.
-///  * With a CancelToken, tasks dequeued after cancellation is requested
-///    are dropped without executing (their pending slot is still
-///    released), so a governor can cut short speculative work that is
-///    already queued.
 ///  * A worker that fails to start (std::thread throwing, or the
 ///    pool.worker.start failpoint) does not leak the workers already
 ///    running: the constructor joins them and rethrows.
@@ -40,7 +36,6 @@
 
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
-#include "support/Cancellation.h"
 #include "support/FailPoint.h"
 
 #include <condition_variable>
@@ -58,11 +53,7 @@ namespace swift {
 
 class ThreadPool {
 public:
-  /// \p Cancel, when given, is polled before each dequeued task runs;
-  /// once requested, remaining queued tasks are dropped unexecuted.
-  explicit ThreadPool(unsigned NumThreads,
-                      const CancelToken *Cancel = nullptr)
-      : Cancel(Cancel) {
+  explicit ThreadPool(unsigned NumThreads) {
     if (NumThreads == 0)
       NumThreads = 1;
     Workers.reserve(NumThreads);
@@ -112,9 +103,9 @@ public:
   }
 
   /// Blocks until every submitted task — including tasks submitted by
-  /// other tasks after this call — has completed (or been dropped by
-  /// cancellation). Rethrows the first exception any task threw since the
-  /// last wait(); the queue is fully drained either way.
+  /// other tasks after this call — has completed. Rethrows the first
+  /// exception any task threw since the last wait(); the queue is fully
+  /// drained either way.
   void wait() {
     std::unique_lock<std::mutex> L(M);
     Idle.wait(L, [this] { return Pending == 0; });
@@ -147,9 +138,7 @@ private:
       L.unlock();
       if (It.EnqueuedUs && obs::metricsEnabled())
         TaskLatency->record(obs::nowMicros() - It.EnqueuedUs);
-      // Dropping a cancelled task must still release its Pending slot
-      // below, or wait() would block on work that will never run.
-      if (!Cancel || !Cancel->requested()) {
+      { // The span ends before the lock is retaken.
         obs::TraceSpan Span("pool", "pool.task");
         try {
           if (SWIFT_FAILPOINT("pool.task"))
@@ -180,7 +169,6 @@ private:
   std::condition_variable Idle;
   std::deque<Item> Queue;
   std::vector<std::thread> Workers;
-  const CancelToken *Cancel;
   /// Resolved once here (interning takes the registry lock); sampled
   /// lock-free afterwards.
   obs::Gauge *QueueDepth =

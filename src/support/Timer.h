@@ -57,13 +57,14 @@ std::string formatSeconds(double Seconds);
 
 /// A combined step and wall-clock budget. Solvers call step() on every unit
 /// of work; once the budget is exhausted every subsequent call returns
-/// false and the solver aborts, reporting a timeout.
+/// false and the solver aborts, reporting a timeout. It is a run's one
+/// stop signal: limits it cannot see itself (the governor's memory cap,
+/// an interrupt) stop the run by calling exhaust().
 ///
-/// Thread-safe: one Budget may be shared between the top-down solver and
-/// concurrent bottom-up workers, so the *total* work of a hybrid run is
-/// bounded by one cap (asynchronous summary computation must not get a
-/// second budget of its own). Under contention the step counter can
-/// overshoot the cap by at most one step per racing thread.
+/// Thread-safe: one Budget is shared between the top-down solver and the
+/// bottom-up wavefront workers of every triggered solve, so the *total*
+/// work of a hybrid run is bounded by one cap. Under contention the step
+/// counter can overshoot the cap by at most one step per racing thread.
 class Budget {
 public:
   /// An effectively unlimited budget.

@@ -15,7 +15,6 @@ tabulationConfig(const SwiftRunConfig &SC) {
   TabulationSolver<TsAnalysis>::Config Cfg;
   Cfg.K = SC.K;
   Cfg.Theta = SC.Theta;
-  Cfg.AsyncBu = SC.AsyncBu;
   Cfg.BuThreads = SC.Threads;
   Cfg.ObservationManifest = SC.ObservationManifest;
   return Cfg;
@@ -83,11 +82,10 @@ TsRunResult swift::runTypestateTd(const TsContext &Ctx, RunLimits Limits) {
 
 TsRunResult swift::runTypestateSwift(const TsContext &Ctx, uint64_t K,
                                      uint64_t Theta, RunLimits Limits,
-                                     bool AsyncBu, unsigned Threads) {
+                                     unsigned Threads) {
   SwiftRunConfig SC;
   SC.K = K;
   SC.Theta = Theta;
-  SC.AsyncBu = AsyncBu;
   SC.Threads = Threads;
   return runTabulating(Ctx, SC, Limits);
 }
@@ -220,15 +218,13 @@ std::vector<TsConfigRun> swift::runAllConfigs(const TsContext &Ctx,
   auto SwiftName = [](const SwiftRunConfig &SC) {
     std::string N = "swift/k" + std::to_string(SC.K) + "/th" +
                     std::to_string(SC.Theta);
-    if (SC.AsyncBu)
-      N += "/async";
     if (SC.Threads != 1)
       N += "/t" + std::to_string(SC.Threads);
     if (!SC.ObservationManifest)
       N += "/nomanifest";
     return N;
   };
-  // Once a (k, theta) times out, skip its other thread/async/manifest
+  // Once a (k, theta) times out, skip its other thread/manifest
   // variants: the step budget bounds total work, so they would burn the
   // same wall budget just to time out again.
   std::set<std::pair<uint64_t, uint64_t>> TimedOutKT;
@@ -293,21 +289,6 @@ std::vector<TsConfigRun> swift::runAllConfigs(const TsContext &Ctx,
       AddSwift(SC);
     }
   }
-
-  // The asynchronous trigger (Section 7): the summary install point moves,
-  // the result must not.
-  if (Opts.IncludeAsync)
-    for (auto [K, Theta] :
-         {std::pair<uint64_t, uint64_t>{1, 1}, {2, 2}}) {
-      for (unsigned T : {1u, 4u}) {
-        SwiftRunConfig SC;
-        SC.K = K;
-        SC.Theta = Theta;
-        SC.AsyncBu = true;
-        SC.Threads = T;
-        AddSwift(SC);
-      }
-    }
 
   // Manifest off: value results must still coincide; error reporting is
   // allowed to under-approximate TD's (never over-approximate).

@@ -61,15 +61,13 @@ struct TsRunResult : RunCounts {
 /// Conventional top-down analysis (SWIFT with the trigger disabled).
 TsRunResult runTypestateTd(const TsContext &Ctx, RunLimits Limits = {});
 
-/// The SWIFT hybrid with thresholds \p K and \p Theta. \p AsyncBu runs
-/// triggered bottom-up analyses on worker threads while the top-down
-/// analysis continues (the paper's Section 7 parallelization sketch);
-/// results are identical either way. \p Threads is the worker count of
-/// each bottom-up solve (SCC-DAG wavefront; summaries are bit-identical
-/// for every value).
+/// The SWIFT hybrid with thresholds \p K and \p Theta. \p Threads is the
+/// worker count of each triggered bottom-up solve (SCC-DAG wavefront, the
+/// paper's Section 7 parallelization; summaries are bit-identical for
+/// every value).
 TsRunResult runTypestateSwift(const TsContext &Ctx, uint64_t K,
                               uint64_t Theta, RunLimits Limits = {},
-                              bool AsyncBu = false, unsigned Threads = 1);
+                              unsigned Threads = 1);
 
 /// Conventional bottom-up analysis: whole-program relational analysis
 /// without pruning, then one application of main's summary to the initial
@@ -82,7 +80,6 @@ TsRunResult runTypestateBu(const TsContext &Ctx, RunLimits Limits = {},
 struct SwiftRunConfig {
   uint64_t K = 5;
   uint64_t Theta = 2;
-  bool AsyncBu = false;
   unsigned Threads = 1;
   /// Collect and serve the observation manifest (exact error reporting for
   /// summary-served callees). Disabling it is an ablation: value results
@@ -184,7 +181,7 @@ TsGovernedResult runTypestateGoverned(const TsContext &Ctx,
 
 /// One named analysis run of the differential-testing config matrix.
 struct TsConfigRun {
-  std::string Name; ///< e.g. "td", "bu/t2", "swift/k1/th2/async/t4".
+  std::string Name; ///< e.g. "td", "bu/t2", "swift/k1/th2/t4".
   enum class Mode { Td, Bu, Swift } Kind;
   SwiftRunConfig Swift;     ///< Swift runs only.
   unsigned BuThreads = 1;   ///< Bu runs only.
@@ -194,15 +191,14 @@ struct TsConfigRun {
 /// Which slice of the config matrix runAllConfigs covers.
 struct AllConfigsOptions {
   bool IncludeBu = true;    ///< Pure BU can blow up; callers may skip it.
-  bool IncludeAsync = true;
   bool IncludeManifestOff = true;
   /// Thread counts exercised for BU and for a subset of SWIFT configs.
   std::vector<unsigned> ThreadCounts = {1, 2, 4};
 };
 
 /// Runs the whole analysis-mode matrix on one program: TD (the ground
-/// truth of Theorem 3.1), pure BU at each thread count, and SWIFT
-/// sync/async at several (k, theta) x thread-count x manifest settings.
+/// truth of Theorem 3.1), pure BU at each thread count, and SWIFT at
+/// several (k, theta) x thread-count x manifest settings.
 /// The TD run is always first. This is the engine of the differential
 /// oracle (src/difftest) and of ad-hoc cross-checking in tools.
 std::vector<TsConfigRun> runAllConfigs(const TsContext &Ctx,

@@ -47,13 +47,11 @@ TEST(GovernorTest, PressureLatchesUpwardOnly) {
     Gov.budget().step();
   Gov.recompute();
   EXPECT_EQ(Gov.level(), Pressure::Yellow);
-  EXPECT_FALSE(Gov.cancelToken().requested());
 
   for (int I = 0; I != 40; ++I)
     Gov.budget().step();
   Gov.recompute();
   EXPECT_EQ(Gov.level(), Pressure::Red);
-  EXPECT_TRUE(Gov.cancelToken().requested());
 
   // The latch: recomputing with the same (high) fraction, or any later
   // recompute, never lowers the level.
@@ -84,7 +82,6 @@ TEST(GovernorTest, MemoryCapTripsBudgetAndCancellation) {
   Gov.charge(800); // 1100 > cap: hard stop
   EXPECT_TRUE(Gov.budget().exhausted());
   EXPECT_EQ(Gov.level(), Pressure::Red);
-  EXPECT_TRUE(Gov.cancelToken().requested());
   EXPECT_EQ(Gov.peakMemoryBytes(), 1100u);
 }
 
@@ -279,75 +276,56 @@ TEST(GovernedRunTest, BudgetPhaseAttributionAddsUp) {
 
   uint64_t TdSteps = G.Run.Stat.get("budget.td_steps");
   uint64_t SyncBu = G.Run.Stat.get("budget.sync_bu_steps");
-  uint64_t AsyncBu = G.Run.Stat.get("budget.async_bu_steps");
   EXPECT_GT(TdSteps, 0u);
   if (G.Run.Stat.get("swift.bu_triggers") > 0) {
     EXPECT_GT(SyncBu, 0u);
   }
-  EXPECT_EQ(AsyncBu, 0u); // sync run
   // Every step the budget accepted is attributed to exactly one phase.
-  EXPECT_EQ(TdSteps + SyncBu + AsyncBu, G.Run.Steps);
-}
+  EXPECT_EQ(TdSteps + SyncBu, G.Run.Steps);
 
-TEST(GovernedRunTest, CancelledAsyncBuAttributesToGovNotBudget) {
-  // An asynchronous bottom-up run cancelled mid-flight (Red latch or
-  // budget exhaustion) installs nothing, so its partial steps are shed
-  // work: they must land in gov.cancelled_bu_steps, not in
-  // budget.async_bu_steps. (They used to be attributed to the productive
-  // async phase, overstating it by the shed amount.) The partition
-  // invariants below hold for every governed run, cancelled or not.
-  uint64_t TotalCancelled = 0;
+  // The same partition at tiny budgets, where runs stop inside a
+  // triggered bottom-up solve, at one and at four wavefront workers.
+  // Budget::steps() then also counts the rejected step of each thread
+  // that saw the exhausted budget first: the top-down loop, or the
+  // workers of the solve in flight (the Budget overshoot contract).
+  uint64_t Partial = 0, Triggered = 0;
   for (uint64_t Seed = 1; Seed <= 8; ++Seed) {
-    std::unique_ptr<Program> Prog = generateFuzzProgram(fuzzCfg(Seed));
-    TsContext Ctx(*Prog, Prog->spec(0).name());
+    std::unique_ptr<Program> P = generateFuzzProgram(fuzzCfg(Seed));
+    TsContext C(*P, P->spec(0).name());
     for (uint64_t MaxSteps :
-         {uint64_t(40), uint64_t(120), uint64_t(400), uint64_t(1u << 30)}) {
-      GovernedRunOptions GO;
-      GO.Config.K = 0; // trigger bottom-up immediately
-      GO.Config.Theta = 2;
-      GO.Config.AsyncBu = true;
-      GO.Limits.MaxSteps = MaxSteps;
-      TsGovernedResult G = runTypestateGoverned(Ctx, GO);
+         {uint64_t(40), uint64_t(120), uint64_t(400), uint64_t(1u << 30)})
+      for (unsigned Threads : {1u, 4u}) {
+        GovernedRunOptions SO;
+        SO.Config.K = 0; // trigger bottom-up immediately
+        SO.Config.Theta = 2;
+        SO.Config.Threads = Threads;
+        SO.Limits.MaxSteps = MaxSteps;
+        TsGovernedResult R = runTypestateGoverned(C, SO);
 
-      uint64_t TdSteps = G.Run.Stat.get("budget.td_steps");
-      uint64_t SyncBu = G.Run.Stat.get("budget.sync_bu_steps");
-      uint64_t AsyncBu = G.Run.Stat.get("budget.async_bu_steps");
-      uint64_t Shed = G.Run.Stat.get("gov.cancelled_bu_steps");
-      uint64_t Cancelled = G.Run.Stat.get("gov.bu_cancelled");
-      // Every budget-accepted step lands in exactly one bucket. When the
-      // budget ran out mid-run — the run went partial, or an async job
-      // was cancelled — Budget::steps() additionally counts the rejected
-      // step of each thread that observed exhaustion (at most the TD
-      // loop plus each in-flight async worker, per the Budget overshoot
-      // contract).
-      uint64_t Attributed = TdSteps + SyncBu + AsyncBu + Shed;
-      EXPECT_LE(Attributed, G.Run.Steps)
-          << "seed " << Seed << " budget " << MaxSteps;
-      EXPECT_LE(G.Run.Steps - Attributed, 3u) // TD + MaxAsyncJobs (2)
-          << "seed " << Seed << " budget " << MaxSteps;
-      if (!G.Partial && Cancelled == 0) {
-        EXPECT_EQ(Attributed, G.Run.Steps)
-            << "seed " << Seed << " budget " << MaxSteps;
+        uint64_t Td = R.Run.Stat.get("budget.td_steps");
+        uint64_t Bu = R.Run.Stat.get("budget.sync_bu_steps");
+        EXPECT_LE(Td + Bu, R.Run.Steps)
+            << "seed " << Seed << " budget " << MaxSteps << " threads "
+            << Threads;
+        EXPECT_LE(R.Run.Steps, Td + Bu + Threads)
+            << "seed " << Seed << " budget " << MaxSteps << " threads "
+            << Threads;
+        EXPECT_EQ(Bu, R.Run.Stat.get("bu.steps"))
+            << "seed " << Seed << " budget " << MaxSteps << " threads "
+            << Threads;
+        if (!R.Partial) {
+          EXPECT_EQ(Td + Bu, R.Run.Steps)
+              << "seed " << Seed << " budget " << MaxSteps << " threads "
+              << Threads;
+        }
+        Partial += R.Partial ? 1 : 0;
+        Triggered += R.Run.Stat.get("swift.bu_triggers") != 0 ? 1 : 0;
       }
-      // The raw bottom-up step count partitions into productive + shed.
-      EXPECT_EQ(SyncBu + AsyncBu + Shed, G.Run.Stat.get("bu.steps"))
-          << "seed " << Seed << " budget " << MaxSteps;
-      // The async config never runs a synchronous bottom-up phase.
-      EXPECT_EQ(SyncBu, 0u) << "seed " << Seed << " budget " << MaxSteps;
-      // Productive async steps imply an installed run (and a trigger).
-      if (G.Run.Stat.get("swift.bu_triggers") == 0) {
-        EXPECT_EQ(AsyncBu, 0u) << "seed " << Seed << " budget " << MaxSteps;
-      }
-      // Shed steps only exist when some run was actually cancelled.
-      if (Cancelled == 0) {
-        EXPECT_EQ(Shed, 0u) << "seed " << Seed << " budget " << MaxSteps;
-      }
-      TotalCancelled += Cancelled;
-    }
   }
-  // Tiny budgets with an immediate trigger: across the sweep, some run
-  // certainly had an async job in flight when the budget ran out.
-  EXPECT_GT(TotalCancelled, 0u);
+  // The sweep covers both outcomes: tiny budgets cut runs short, and the
+  // large one lets triggered solves finish and install.
+  EXPECT_GT(Partial, 0u);
+  EXPECT_GT(Triggered, 0u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -489,7 +467,6 @@ TEST(GovernorTest, GovTickFailpointExhaustsAndLatchesRed) {
   Gov.recompute(); // hit 2: injected exhaustion
   EXPECT_TRUE(Gov.budget().exhausted());
   EXPECT_EQ(Gov.level(), Pressure::Red);
-  EXPECT_TRUE(Gov.cancelToken().requested());
   EXPECT_EQ(Gov.fraction(), 1.0);
 }
 

@@ -5,16 +5,17 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Tests of the parallel bottom-up solver and the asynchronous hybrid:
+/// Tests of the parallel bottom-up solver inside the hybrid:
 ///
 ///  - The SCC-wavefront scheduler is deterministic: summaries are
 ///    bit-identical for every thread count, on the paper's running example
 ///    and on generated workloads, with and without pruning.
-///  - Asynchronous bottom-up runs charge the one shared budget: the
-///    recorded step count covers the workers' node visits (regression for
-///    the old code, which gave each worker a fresh budget with the same
-///    caps and so both exceeded the requested limit and under-reported),
-///    and a hard step cap bounds the whole hybrid run.
+///  - A triggered bottom-up solve's wavefront workers charge the one
+///    shared budget: the recorded step count covers their node visits
+///    (regression for a bottom-up run with a fresh budget of its own,
+///    which both exceeds the requested limit and under-reports), a hard
+///    step cap bounds the whole hybrid run, and the wavefront drains when
+///    the budget runs out in the middle of it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -165,12 +166,11 @@ TEST(ParallelBuTest, RunnerResultsMatchAcrossThreadCounts) {
   }
 }
 
-/// A program whose one bottom-up trigger is deterministic: main calls the
-/// head of a long chain twice with objects from two allocation sites. The
-/// first call warms the whole chain top-down (every procedure EverCalled),
-/// so when the second, distinct entry state arrives at p0 with k = 1, the
-/// trigger fires at a single-threaded moment with the full chain as its
-/// frontier — independent of worker timing.
+/// A program with one bottom-up trigger: main calls the head of a long
+/// chain twice with objects from two allocation sites. The first call
+/// warms the whole chain top-down (every procedure EverCalled), so when
+/// the second, distinct entry state arrives at p0 with k = 1, the trigger
+/// fires with the full chain as its frontier.
 std::unique_ptr<Program> makeChainProgram(unsigned Procs, unsigned Reps) {
   std::string Src =
       "typestate File { start closed; error err; "
@@ -187,28 +187,36 @@ std::unique_ptr<Program> makeChainProgram(unsigned Procs, unsigned Reps) {
   return parseProgram(Src);
 }
 
+/// Wavefront workers per bottom-up solve in the shared-budget tests.
+constexpr unsigned BuWorkers = 4;
+
+/// Pruning bound for the chain program: at theta = 4 the triggered solve
+/// spends more steps than the top-down work its summaries save, so the
+/// hybrid's total exceeds TD's only if the solve's steps are on record.
+constexpr uint64_t ChainTheta = 4;
+
 TEST(AsyncBudgetTest, WorkerStepsChargeSharedBudget) {
   std::unique_ptr<Program> Prog = makeChainProgram(30, 20);
   TsContext Ctx(*Prog, Prog->symbols().intern("File"));
 
   TsRunResult R =
-      runTypestateSwift(Ctx, 1, 2, RunLimits{}, /*AsyncBu=*/true);
+      runTypestateSwift(Ctx, 1, ChainTheta, RunLimits{}, BuWorkers);
   ASSERT_FALSE(R.Timeout);
   uint64_t Visits = R.Stat.get("bu.node_visits");
   ASSERT_GT(Visits, 0u) << "no bottom-up run was triggered";
 
   // Every bottom-up node visit charges Budget::step() on the *shared*
   // budget, so the recorded step count must cover the workers' visits.
-  // The old code gave each worker a private Budget, leaving these visits
-  // out of the recorded count entirely.
+  // A private Budget per bottom-up run would leave these visits out of
+  // the recorded count entirely.
   EXPECT_GE(R.Steps, Visits);
 
   // Teeth check: the hybrid's top-down portion can only be *cheaper* than
   // a complete conventional top-down run (serving calls from summaries
-  // removes work, never adds it), so under the old accounting — which
-  // recorded top-down steps only — R.Steps could never exceed Td.Steps.
-  // With the shared budget the worker's (larger) bottom-up spend is on
-  // the record and pushes well past it.
+  // removes work, never adds it), so an accounting that recorded
+  // top-down steps only could never push R.Steps past Td.Steps. With the
+  // shared budget the workers' (larger) bottom-up spend is on the record
+  // and pushes well past it.
   TsRunResult Td = runTypestateTd(Ctx);
   ASSERT_FALSE(Td.Timeout);
   EXPECT_GT(R.Steps, Td.Steps);
@@ -221,7 +229,7 @@ TEST(AsyncBudgetTest, WorkerCannotOutspendSharedCap) {
   TsRunResult Td = runTypestateTd(Ctx);
   ASSERT_FALSE(Td.Timeout);
   TsRunResult Full =
-      runTypestateSwift(Ctx, 1, 2, RunLimits{}, /*AsyncBu=*/true);
+      runTypestateSwift(Ctx, 1, ChainTheta, RunLimits{}, BuWorkers);
   ASSERT_FALSE(Full.Timeout);
   uint64_t Visits = Full.Stat.get("bu.node_visits");
   ASSERT_GT(Visits, 0u);
@@ -229,20 +237,16 @@ TEST(AsyncBudgetTest, WorkerCannotOutspendSharedCap) {
   // A cap the complete top-down pass fits under but the triggered
   // bottom-up run pushes past (its visits alone exceed Cap - Td.Steps).
   // With the one shared budget the run must drain the budget to the cap
-  // and stop there. The old code handed the worker a *fresh* budget with
-  // the same caps, so the recorded count stayed at the top-down cost —
-  // below the cap — while the process actually spent far beyond it.
+  // and stop there. A bottom-up run handed a *fresh* budget with the same
+  // caps would keep the recorded count at the top-down cost — below the
+  // cap — while the process actually spent far beyond it.
   uint64_t Cap = Td.Steps + Visits / 2;
   ASSERT_GT(Full.Steps, Cap) << "chain program no longer BU-heavy enough";
   RunLimits L;
   L.MaxSteps = Cap;
-  TsRunResult R = runTypestateSwift(Ctx, 1, 2, L, /*AsyncBu=*/true);
+  TsRunResult R = runTypestateSwift(Ctx, 1, ChainTheta, L, BuWorkers);
   EXPECT_GE(R.Steps, Cap); // the combined spend hit the shared cap
   EXPECT_LE(R.Steps, Cap + 64);
-  // Timeout is deliberately not asserted: if the top-down fixpoint
-  // drains before the worker exhausts the budget, the result is complete
-  // and the run legitimately reports success — the discarded bottom-up
-  // summary was an optimization, not a correctness input.
 }
 
 TEST(AsyncBudgetTest, ExhaustionRespectsSharedCap) {
@@ -257,8 +261,12 @@ TEST(AsyncBudgetTest, ExhaustionRespectsSharedCap) {
 
   RunLimits L;
   L.MaxSteps = 2'000;
-  TsRunResult R = runTypestateSwift(Ctx, 0, 2, L, /*AsyncBu=*/true);
+  // The budget runs out inside a triggered solve; its wavefront must
+  // still drain (no worker blocks on an SCC that will never finish) and
+  // the run come back partial.
+  TsRunResult R = runTypestateSwift(Ctx, 0, 2, L, BuWorkers);
   EXPECT_TRUE(R.Timeout);
+  EXPECT_GT(R.Stat.get("bu.steps"), 0u) << "no bottom-up solve ran";
   // The atomic budget may overshoot by at most one step per racing
   // thread; 64 is a generous bound for any worker count.
   EXPECT_LE(R.Steps, L.MaxSteps + 64);

@@ -330,9 +330,9 @@ TEST(PersistFuzzTest, FiftySeedsOfMutationsNeverCrashAndClassify) {
 //===----------------------------------------------------------------------===//
 
 TEST(PersistCorpusTest, ReplaysEveryCheckedInCheckpoint) {
-  // File-name prefixes encode the expected outcome: good-* and legacy-*
-  // load; truncated-*, bitflip-*, dup-*, badfield-* (a field outside its
-  // grammar: a signed number, an out-of-range thread count),
+  // File-name prefixes encode the expected outcome: good-*, legacy-* and
+  // async-* load; truncated-*, bitflip-*, dup-*, badfield-* (a field
+  // outside its grammar: a signed number, an out-of-range thread count),
   // badversion-* raise the matching typed error.
   std::vector<std::string> Files;
   for (const auto &Entry :
@@ -345,7 +345,8 @@ TEST(PersistCorpusTest, ReplaysEveryCheckedInCheckpoint) {
   for (const std::string &Path : Files) {
     std::string Stem = std::filesystem::path(Path).stem().string();
     SCOPED_TRACE(Path);
-    if (Stem.rfind("good-", 0) == 0 || Stem.rfind("legacy-", 0) == 0) {
+    if (Stem.rfind("good-", 0) == 0 || Stem.rfind("legacy-", 0) == 0 ||
+        Stem.rfind("async-", 0) == 0) {
       ParsedCheckpoint PC = loadCheckpointFile(Path);
       EXPECT_FALSE(PC.Checkpoint.TrackedClass.empty());
       continue;
@@ -367,6 +368,52 @@ TEST(PersistCorpusTest, ReplaysEveryCheckedInCheckpoint) {
       EXPECT_EQ(E.kind(), Want) << E.what();
     }
   }
+}
+
+TEST(PersistCorpusTest, LoadableCheckpointsReencodeByteForByte) {
+  // Re-encoding a loaded golden reproduces its bytes: v2 files with their
+  // frame, legacy v1 files as bare text.
+  for (const char *Name : {"good-v2.swiftckpt", "legacy-v1.swiftckpt"}) {
+    SCOPED_TRACE(Name);
+    std::string Bytes = corpusBytes(Name);
+    ParsedCheckpoint PC = parseCheckpointFile(Bytes);
+    std::string Text = checkpointToText(*PC.Prog, PC.Checkpoint);
+    if (std::string_view(Name).substr(0, 6) == "legacy")
+      EXPECT_EQ(Text, Bytes);
+    else
+      EXPECT_EQ(frameCheckpointV2(Text), Bytes);
+  }
+}
+
+TEST(PersistCorpusTest, AsyncCheckpointResumesSynchronously) {
+  // Written by swift-analyze --mode=swift --k=0 --async --steps=100 on
+  // seed15.swiftir while asynchronous bottom-up runs still existed, so
+  // its config line reads "async 1". The field is still read and
+  // range-checked but no longer selects anything: re-encoding writes
+  // "async 0" and changes nothing else.
+  std::string Bytes = corpusBytes("async-v2.swiftckpt");
+  ParsedCheckpoint PC = parseCheckpointFile(Bytes);
+  std::string Text = checkpointToText(*PC.Prog, PC.Checkpoint);
+  size_t At = Text.find(" async 0 ");
+  ASSERT_NE(At, std::string::npos);
+  EXPECT_EQ(frameCheckpointV2(Text.replace(At, 9, " async 1 ")), Bytes);
+
+  // The snapshot holds only top-down state, so it resumes synchronously
+  // to the uninterrupted run's results.
+  TsContext Ctx(*PC.Prog,
+                PC.Prog->symbols().intern(PC.Checkpoint.TrackedClass));
+  GovernedRunOptions RO;
+  RO.Config = PC.Checkpoint.Config;
+  RO.ResumeFrom = &PC.Checkpoint.Snapshot;
+  TsGovernedResult Resumed = runTypestateGoverned(Ctx, RO);
+  GovernedRunOptions FO;
+  FO.Config = PC.Checkpoint.Config;
+  TsGovernedResult Full = runTypestateGoverned(Ctx, FO);
+  ASSERT_FALSE(Resumed.Partial);
+  ASSERT_FALSE(Full.Partial);
+  EXPECT_FALSE(Full.Run.ErrorSites.empty()); // seed15 reaches an error
+  EXPECT_EQ(Resumed.Run.ErrorSites, Full.Run.ErrorSites);
+  EXPECT_EQ(Resumed.Run.MainExit, Full.Run.MainExit);
 }
 
 //===----------------------------------------------------------------------===//

@@ -11,7 +11,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "support/AtomicFile.h"
-#include "support/Cancellation.h"
 #include "support/FailPoint.h"
 #include "support/Hashing.h"
 #include "support/Rng.h"
@@ -265,38 +264,6 @@ TEST(ThreadPoolTest, ThrowingTasksDoNotDeadlockSubmittingPeers) {
     });
   EXPECT_THROW(Pool.wait(), std::runtime_error);
   EXPECT_EQ(Count.load(), 8); // children still ran
-}
-
-TEST(ThreadPoolTest, CancelledPoolDropsTaskBodiesButStillDrains) {
-  CancelToken Cancel;
-  Cancel.request();
-  ThreadPool Pool(4, &Cancel);
-  std::atomic<int> Ran{0};
-  for (int I = 0; I != 32; ++I)
-    Pool.submit([&Ran] { ++Ran; });
-  Pool.wait(); // skipped bodies still decrement Pending; no deadlock
-  EXPECT_EQ(Ran.load(), 0);
-}
-
-TEST(ThreadPoolTest, CancellationMidRunStopsNewBodies) {
-  CancelToken Cancel;
-  ThreadPool Pool(2, &Cancel);
-  std::atomic<int> Ran{0};
-  Pool.submit([&Cancel] { Cancel.request(); });
-  Pool.wait();
-  for (int I = 0; I != 16; ++I)
-    Pool.submit([&Ran] { ++Ran; });
-  Pool.wait();
-  EXPECT_EQ(Ran.load(), 0); // everything after the request is dropped
-}
-
-TEST(CancelTokenTest, RequestIsSticky) {
-  CancelToken C;
-  EXPECT_FALSE(C.requested());
-  C.request();
-  EXPECT_TRUE(C.requested());
-  C.request(); // idempotent
-  EXPECT_TRUE(C.requested());
 }
 
 TEST(BudgetTest, ConcurrentSteppingRespectsCap) {

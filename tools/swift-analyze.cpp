@@ -67,7 +67,6 @@ struct ToolOptions {
   std::string Mode = "td";       ///< "td", "swift", or "bu" (clients only).
   uint64_t K = 5;
   uint64_t Theta = 2;
-  bool AsyncBu = false;
   unsigned Threads = 1;
   uint64_t Steps = UINT64_MAX;
   double Seconds = 1e18;
@@ -101,7 +100,6 @@ const char *usageText() {
          "                      only for client domains)\n"
          "  --k=N               SWIFT trigger threshold (default 5)\n"
          "  --theta=N           SWIFT pruning bound (default 2)\n"
-         "  --async             asynchronous bottom-up triggers\n"
          "  --threads=N         bottom-up worker threads (default 1)\n"
          "  --steps=N           step budget (default unlimited)\n"
          "  --seconds=S         wall-clock budget (default unlimited)\n"
@@ -150,8 +148,6 @@ bool parseArgs(int Argc, char **Argv, ToolOptions &O, std::string &Err) {
         Err = "invalid --theta value '" + std::string(V) + "'";
         return false;
       }
-    } else if (A == "--async") {
-      O.AsyncBu = true;
     } else if (cli::matchValueFlag(A, "--threads=", V)) {
       if (!cli::parseUnsigned(V, O.Threads, 1, 1024)) {
         Err = "invalid --threads value '" + std::string(V) + "'";
@@ -345,7 +341,6 @@ int main(int Argc, char **Argv) {
       Prog = parseProgramText(Buf.str());
       GO.Config.K = O.Mode == "td" ? NoBuTrigger : O.K;
       GO.Config.Theta = O.Mode == "td" ? 1 : O.Theta;
-      GO.Config.AsyncBu = O.AsyncBu;
       GO.Config.Threads = O.Threads;
     }
   } catch (const LoadError &E) {
@@ -426,31 +421,22 @@ int main(int Argc, char **Argv) {
   std::printf("pressure: peak %s, peak memory estimate %llu bytes\n",
               pressureName(G.Peak),
               static_cast<unsigned long long>(G.PeakMemoryBytes));
-  std::printf("budget attribution: td %llu, sync-bu %llu, async-bu %llu "
-              "steps\n",
+  std::printf("budget attribution: td %llu, bu %llu steps\n",
               static_cast<unsigned long long>(
                   statOf(G.Run.Stat, "budget.td_steps")),
               static_cast<unsigned long long>(
-                  statOf(G.Run.Stat, "budget.sync_bu_steps")),
-              static_cast<unsigned long long>(
-                  statOf(G.Run.Stat, "budget.async_bu_steps")));
+                  statOf(G.Run.Stat, "budget.sync_bu_steps")));
   if (statOf(G.Run.Stat, "gov.bu_suppressed") ||
       statOf(G.Run.Stat, "gov.theta_shrunk") ||
-      statOf(G.Run.Stat, "gov.shed_summaries") ||
-      statOf(G.Run.Stat, "gov.bu_cancelled"))
+      statOf(G.Run.Stat, "gov.shed_summaries"))
     std::printf("degradation: %llu bu runs suppressed, %llu theta "
-                "shrinks, %llu summary caches shed, %llu async runs "
-                "cancelled (%llu steps shed)\n",
+                "shrinks, %llu summary caches shed\n",
                 static_cast<unsigned long long>(
                     statOf(G.Run.Stat, "gov.bu_suppressed")),
                 static_cast<unsigned long long>(
                     statOf(G.Run.Stat, "gov.theta_shrunk")),
                 static_cast<unsigned long long>(
-                    statOf(G.Run.Stat, "gov.shed_summaries")),
-                static_cast<unsigned long long>(
-                    statOf(G.Run.Stat, "gov.bu_cancelled")),
-                static_cast<unsigned long long>(
-                    statOf(G.Run.Stat, "gov.cancelled_bu_steps")));
+                    statOf(G.Run.Stat, "gov.shed_summaries")));
 
   if (G.Partial && !O.CheckpointOut.empty()) {
     try {

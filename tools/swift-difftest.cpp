@@ -7,10 +7,10 @@
 /// \file
 /// swift-difftest — differential-testing driver. Fuzzes programs, runs the
 /// concrete interpreter as ground truth plus the whole analysis-mode
-/// matrix (TD / pure BU / SWIFT sync and async at several (k, theta),
-/// thread counts, manifest on/off), checks soundness and the paper's
-/// coincidence guarantees, and on a mismatch delta-debugs the program to a
-/// small reproducer.
+/// matrix (TD / pure BU / SWIFT at several (k, theta), thread counts,
+/// manifest on/off), checks soundness and the paper's coincidence
+/// guarantees, and on a mismatch delta-debugs the program to a small
+/// reproducer.
 ///
 /// Exit code: 0 all seeds clean, 1 violations found, 2 usage error,
 /// 3 clean but resource-exhausted (some reference runs hit their budget,
