@@ -8,6 +8,7 @@
 
 #include "clients/Registry.h"
 #include "clients/interval/IntervalDomain.h"
+#include "concrete/Interpreter.h"
 #include "support/Rng.h"
 
 #include <stdexcept>
@@ -347,6 +348,20 @@ WitnessResult clients::runClientWitness(const std::string &Domain,
                                         const Program &Prog,
                                         const WitnessConfig &Cfg) {
   WitnessResult W;
+
+  if (Domain == "typestate") {
+    InterpConfig IC;
+    IC.Seed = Cfg.Seed;
+    IC.MaxSteps = Cfg.MaxSteps;
+    IC.MaxDepth = Cfg.MaxDepth;
+    IC.LoopContinuePerMille = Cfg.LoopContinuePerMille;
+    InterpResult IR = interpret(Prog, IC);
+    for (SiteId S : IR.ErrorSites)
+      W.Events.insert({Prog.site(S).Proc, Prog.site(S).Node});
+    W.Completed = IR.Completed;
+    W.Steps = IR.Steps;
+    return W;
+  }
 
   if (Domain == "interval") {
     IntMachine M(Prog, Cfg);

@@ -5,13 +5,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Concrete witness machines for the client domains — the ground truth of
-/// the per-domain differential oracle, playing the role the typestate
-/// interpreter (concrete/Interpreter.h) plays for the built-in analysis.
-/// One reference machine serves the three IFDS-shaped clients (taint,
-/// null-deref, reaching-defs); a separate by-value counter machine serves
-/// the interval domain, whose concretization differs (counters copy,
-/// fields are a global store, method calls on null are no-ops).
+/// Concrete witness machines, one per registered domain — the ground
+/// truth of the differential oracle. Typestate's is the concrete
+/// interpreter (concrete/Interpreter.h); its events are the allocation
+/// points of the objects that entered the error state. One reference
+/// machine serves the three IFDS-shaped clients (taint, null-deref,
+/// reaching-defs); a separate by-value counter machine serves the
+/// interval domain, whose concretization differs (counters copy, fields
+/// are a global store, method calls on null are no-ops).
 ///
 /// Reference-machine semantics mirror concrete/Interpreter.cpp exactly:
 /// uninitialized variables and missing returns are null, and any
@@ -71,7 +72,8 @@ struct WitnessResult {
 };
 
 /// Executes one schedule of \p Prog under the witness machine of
-/// \p Domain ("taint", "nullderef", "reachdefs", or "interval").
+/// \p Domain ("typestate", "taint", "nullderef", "reachdefs", or
+/// "interval").
 /// Taint uses the registry's source/sink convention (see Registry.h).
 WitnessResult runClientWitness(const std::string &Domain,
                                const Program &Prog,

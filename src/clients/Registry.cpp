@@ -50,28 +50,30 @@ std::set<Symbol> findAll(const SymbolTable &Syms,
   return Out;
 }
 
-using Site = std::pair<ProcId, NodeId>;
-
 /// Runs one domain in \p Mode through the shared driver and normalizes
 /// the results: report sites (fact-embedded sites plus the observation
-/// manifest) and non-report facts at main's exit. \p RS maps a state to
-/// its report site (nullopt for non-report states); \p FS renders a
-/// non-report, non-Lambda state.
+/// manifest), the points they were seen at, and non-report facts at
+/// main's exit. \p RS maps a state to its report site (nullopt for
+/// non-report states); \p FS renders a non-report, non-Lambda state.
 template <typename AN, typename ReportSiteFn, typename FactStrFn>
 DomainRunResult runModeT(const typename AN::Context &Ctx, DomainMode Mode,
                          uint64_t K, uint64_t Theta, unsigned Threads,
-                         RunLimits Limits, ReportSiteFn RS, FactStrFn FS) {
+                         RunLimits Limits, bool Manifest, ReportSiteFn RS,
+                         FactStrFn FS) {
   using State = typename AN::State;
   const Program &Prog = Ctx.program();
+  const Point MainExit{Prog.mainProc(), Prog.proc(Prog.mainProc()).exit()};
   DomainRunResult R;
-  auto Report = [&](const State &S) {
-    std::optional<Site> Where = RS(S);
-    if (Where)
+  auto Report = [&](Point At, const State &S) {
+    std::optional<Point> Where = RS(S);
+    if (Where) {
       R.Reports.insert(*Where);
+      R.ReportPoints.insert({*Where, At});
+    }
     return Where.has_value();
   };
   auto AtMainExit = [&](const State &S) {
-    if (!Report(S) && !AN::isLambda(S))
+    if (!Report(MainExit, S) && !AN::isLambda(S))
       R.ExitFacts.insert(FS(S));
   };
 
@@ -80,7 +82,9 @@ DomainRunResult runModeT(const typename AN::Context &Ctx, DomainMode Mode,
                   [&](const typename RelationalSolver<AN>::Summary &Main) {
                     // Observation relations reach *internal* points, so
                     // only their reports count, never as exit facts.
-                    forEachMainOutput<AN>(Ctx, Main, AtMainExit, Report);
+                    forEachMainOutput<AN>(
+                        Ctx, Main, AtMainExit,
+                        [&](const State &S) { Report(MainExit, S); });
                   });
     return R;
   }
@@ -89,18 +93,20 @@ DomainRunResult runModeT(const typename AN::Context &Ctx, DomainMode Mode,
   Cfg.K = Mode == DomainMode::Td ? NoBuTrigger : K;
   Cfg.Theta = Mode == DomainMode::Td ? 1 : Theta;
   Cfg.BuThreads = Threads;
-  const NodeId ExitN = Prog.proc(Prog.mainProc()).exit();
+  Cfg.ObservationManifest = Manifest;
   runTabulation<AN>(Ctx, Cfg, Limits, R,
                     [&](const TabulationSolver<AN> &Solver) {
                       Solver.forEachFact([&](ProcId P, NodeId N,
                                              const State &, const State &Cur) {
-                        if (P == Prog.mainProc() && N == ExitN)
+                        if (Point{P, N} == MainExit)
                           AtMainExit(Cur);
                         else
-                          Report(Cur);
+                          Report({P, N}, Cur);
                       });
                       Solver.forEachObserved(
-                          [&](ProcId, NodeId, const State &S) { Report(S); });
+                          [&](ProcId P, NodeId N, const State &S) {
+                            Report({P, N}, S);
+                          });
                     });
   return R;
 }
@@ -127,35 +133,67 @@ std::set<Symbol> clients::taintSinkMethods(const Program &Prog) {
   return findAll(Prog.symbols(), {"open", "sink"});
 }
 
+DomainRunResult clients::typestateResult(const Program &Prog,
+                                        TsRunResult R) {
+  DomainRunResult Out;
+  auto At = [&Prog](SiteId S) {
+    return Point{Prog.site(S).Proc, Prog.site(S).Node};
+  };
+  for (SiteId S : R.ErrorSites)
+    Out.Reports.insert(At(S));
+  for (const TsError &E : R.ErrorPoints)
+    Out.ReportPoints.insert({At(E.Site), {E.Proc, E.Node}});
+  for (const TsAbstractState &St : R.MainExit)
+    Out.ExitFacts.insert(St.str(Prog));
+  static_cast<RunCounts &>(Out) = std::move(R);
+  return Out;
+}
+
 DomainRunResult clients::runClientDomain(const std::string &Domain,
                                          const Program &Prog,
                                          DomainMode Mode, uint64_t K,
                                          uint64_t Theta, unsigned Threads,
-                                         RunLimits Limits) {
+                                         RunLimits Limits, bool Manifest) {
+  if (Domain == "typestate") {
+    if (Prog.numSpecs() == 0)
+      throw std::runtime_error("typestate: program declares no spec");
+    TsContext Ctx(Prog, Prog.spec(0).name());
+    if (Mode == DomainMode::Td)
+      return typestateResult(Prog, runTypestateTd(Ctx, Limits));
+    if (Mode == DomainMode::Bu)
+      return typestateResult(Prog, runTypestateBu(Ctx, Limits, Threads));
+    SwiftRunConfig SC;
+    SC.K = K;
+    SC.Theta = Theta;
+    SC.Threads = Threads;
+    SC.ObservationManifest = Manifest;
+    return typestateResult(Prog, runTypestateSwift(Ctx, SC, Limits));
+  }
+
   if (Domain == "interval") {
     interval::IvContext Ctx(Prog);
-    auto RS = [](const interval::IvFact &F) -> std::optional<Site> {
+    auto RS = [](const interval::IvFact &F) -> std::optional<Point> {
       if (F.K == interval::IvFact::Kind::Under)
-        return Site{F.P, F.N};
+        return Point{F.P, F.N};
       return std::nullopt;
     };
     auto FS = [&Prog](const interval::IvFact &F) { return F.str(Prog); };
     return runModeT<interval::IvAnalysis>(Ctx, Mode, K, Theta, Threads,
-                                          Limits, RS, FS);
+                                          Limits, Manifest, RS, FS);
   }
 
   std::unique_ptr<ifds::IfdsProblem> Pb = makeProblem(Domain, Prog);
   if (!Pb)
     throw std::runtime_error("unknown analysis domain '" + Domain + "'");
   ifds::IfdsContext Ctx(Prog, *Pb);
-  auto RS = [&Pb](const ifds::IfdsFact &F) -> std::optional<Site> {
+  auto RS = [&Pb](const ifds::IfdsFact &F) -> std::optional<Point> {
     ProcId P;
     NodeId N;
     if (Pb->reportSite(F.Id, P, N))
-      return Site{P, N};
+      return Point{P, N};
     return std::nullopt;
   };
   auto FS = [&Pb](const ifds::IfdsFact &F) { return Pb->factText(F.Id); };
   return runModeT<ifds::IfdsAnalysis>(Ctx, Mode, K, Theta, Threads, Limits,
-                                      RS, FS);
+                                      Manifest, RS, FS);
 }

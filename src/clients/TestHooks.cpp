@@ -6,6 +6,8 @@
 
 #include "clients/TestHooks.h"
 
+#include "typestate/Transfer.h"
+
 namespace swift {
 namespace clients {
 namespace test {
@@ -16,7 +18,9 @@ std::atomic<bool> InjectReachDefsStoreBug{false};
 std::atomic<bool> InjectIntervalGuardBug{false};
 
 bool injectDomainBug(const std::string &Domain, bool On) {
-  if (Domain == "taint")
+  if (Domain == "typestate")
+    swift::test::InjectTsCallWeakUpdateBug.store(On);
+  else if (Domain == "taint")
     InjectTaintStoreBug.store(On);
   else if (Domain == "nullderef")
     InjectNullStoreBug.store(On);

@@ -41,8 +41,9 @@ extern std::atomic<bool> InjectReachDefsStoreBug;
 /// `may be < 0` — a close() on an exactly-zero counter goes unreported.
 extern std::atomic<bool> InjectIntervalGuardBug;
 
-/// Enables the flag for \p Domain ("taint", "nullderef", "reachdefs",
-/// "interval"); returns false for unknown names.
+/// Enables the flag for \p Domain ("typestate" — InjectTsCallWeakUpdateBug
+/// — "taint", "nullderef", "reachdefs", "interval"); returns false for
+/// unknown names.
 bool injectDomainBug(const std::string &Domain, bool On);
 
 } // namespace test

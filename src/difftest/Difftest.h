@@ -10,10 +10,9 @@
 /// run an oracle on each, and on a violation reduce the program and write
 /// a self-contained reproducer — the swift-ir text plus the violation
 /// header — under an output directory. The loop and the replay take the
-/// oracle as a parameter: the typestate oracle (typestateOracle) and each
-/// client domain's (difftest/DomainOracle.h, domainOracle) run through
-/// the same code. Reproducers replay with swift-difftest --replay=FILE or
-/// via the tests/corpus ctest targets.
+/// oracle as a parameter (programOracle, one per domain). Reproducers
+/// replay with swift-difftest --replay=FILE or via the tests/corpus ctest
+/// targets.
 ///
 //===----------------------------------------------------------------------===//
 

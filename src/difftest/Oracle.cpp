@@ -6,8 +6,8 @@
 
 #include "difftest/Oracle.h"
 
-#include "concrete/Interpreter.h"
-#include "framework/Tabulation.h"
+#include "clients/Concrete.h"
+#include "clients/Registry.h"
 #include "govern/Checkpoint.h"
 #include "ir/Dumper.h"
 #include "serve/EditGen.h"
@@ -25,6 +25,9 @@
 
 using namespace swift;
 using namespace swift::difftest;
+using clients::DomainMode;
+using clients::DomainRunResult;
+using clients::Point;
 
 const char *swift::difftest::checkKindName(CheckKind K) {
   switch (K) {
@@ -54,6 +57,62 @@ const char *swift::difftest::checkKindName(CheckKind K) {
 
 namespace {
 
+/// One row of the oracle's table.
+struct Row {
+  DomainMode Mode;
+  uint64_t K = 0;
+  uint64_t Theta = 1;
+  unsigned Threads = 1;
+  bool Manifest = true;
+};
+
+/// The table every domain runs, TD (the reference) first. SWIFT at six
+/// (k, theta): the trigger fires at different times, so these cover very
+/// different mixes of analyzed and served calls. Results must be
+/// bit-identical at every worker count, so two representative (k, theta)
+/// points suffice per count; the same two run the manifest-off ablation.
+const Row Table[] = {
+    {DomainMode::Td},
+    {DomainMode::Bu, 0, 1, 1},
+    {DomainMode::Bu, 0, 1, 2},
+    {DomainMode::Bu, 0, 1, 4},
+    {DomainMode::Swift, 0, 1},
+    {DomainMode::Swift, 1, 1},
+    {DomainMode::Swift, 2, 1},
+    {DomainMode::Swift, 1, 2},
+    {DomainMode::Swift, 3, 2},
+    {DomainMode::Swift, 5, 2},
+    {DomainMode::Swift, 2, 1, 2},
+    {DomainMode::Swift, 5, 2, 2},
+    {DomainMode::Swift, 2, 1, 4},
+    {DomainMode::Swift, 5, 2, 4},
+    {DomainMode::Swift, 2, 1, 1, false},
+    {DomainMode::Swift, 5, 2, 1, false},
+};
+
+/// A row's name without its worker count: rows in one group must agree
+/// bit for bit.
+std::string groupName(const Row &R) {
+  if (R.Mode == DomainMode::Td)
+    return "td";
+  if (R.Mode == DomainMode::Bu)
+    return "bu";
+  return "swift/k" + std::to_string(R.K) + "/th" + std::to_string(R.Theta) +
+         (R.Manifest ? "" : "/nomanifest");
+}
+
+std::string rowName(const Row &R) {
+  if (R.Mode == DomainMode::Bu || R.Threads != 1)
+    return groupName(R) + "/t" + std::to_string(R.Threads);
+  return groupName(R);
+}
+
+/// One finished row.
+struct Run {
+  const Row *Rw;
+  DomainRunResult Result;
+};
+
 std::string siteSetStr(const std::set<SiteId> &S) {
   std::ostringstream OS;
   OS << "{";
@@ -66,174 +125,165 @@ std::string siteSetStr(const std::set<SiteId> &S) {
   return OS.str();
 }
 
-std::string errorPointStr(const Program &Prog, const TsError &E) {
-  std::ostringstream OS;
-  OS << "@" << E.Site << " at "
-     << Prog.symbols().text(Prog.proc(E.Proc).name()) << ":" << E.Node;
-  return OS.str();
-}
-
-std::string mainExitStr(const Program &Prog,
-                        const std::set<TsAbstractState> &S) {
-  std::ostringstream OS;
-  OS << "{";
-  bool First = true;
-  for (const TsAbstractState &St : S) {
-    OS << (First ? "" : "; ") << St.str(Prog);
-    First = false;
-  }
-  OS << "}";
-  return OS.str();
-}
-
-/// The first few elements of A \ B, for readable diffs.
+/// A \ B.
 template <typename T>
-std::vector<T> setMinus(const std::set<T> &A, const std::set<T> &B,
-                        size_t Limit = 4) {
-  std::vector<T> Out;
-  for (const T &X : A) {
-    if (!B.count(X)) {
-      Out.push_back(X);
-      if (Out.size() == Limit)
-        break;
-    }
-  }
+std::set<T> setMinus(const std::set<T> &A, const std::set<T> &B) {
+  std::set<T> Out;
+  for (const T &X : A)
+    if (!B.count(X))
+      Out.insert(X);
   return Out;
-}
-
-bool isCallNode(const Program &Prog, ProcId P, NodeId N) {
-  return Prog.proc(P).node(N).Cmd.Kind == CmdKind::Call;
 }
 
 class OracleRun {
 public:
-  OracleRun(const Program &Prog, const OracleOptions &Opts)
-      : Prog(Prog), Opts(Opts) {}
+  OracleRun(const std::string &Domain, const Program &Prog,
+            const OracleOptions &Opts)
+      : Domain(Domain), Prog(Prog), Opts(Opts) {}
 
   OracleResult run();
 
 private:
   void addViolation(CheckKind Kind, const std::string &Config,
                     std::string Detail) {
-    Res.Violations.push_back(Violation{Kind, Config, std::move(Detail)});
+    Res.Violations.push_back(
+        Violation{Kind, Domain + "/" + Config, std::move(Detail)});
   }
 
-  void checkSoundness(const TsConfigRun &R);
-  void checkAgainstTd(const TsConfigRun &R, const TsRunResult &Td);
-  void checkThreadDeterminism(const std::vector<TsConfigRun> &Runs);
-  void checkPartialSoundness(const TsContext &Ctx, const TsRunResult &Td);
-  void checkCheckpointResume(const TsContext &Ctx, Symbol Tracked,
-                             const TsRunResult &Td);
-  void checkIncremental(Symbol Tracked, const TsRunResult &Td);
-  void checkShardInvariance(const TsContext &Ctx, Symbol Tracked,
-                            const TsRunResult &Td);
+  std::string pointStr(const Point &P) const {
+    return Prog.symbols().text(Prog.proc(P.first).name()) + ":" +
+           std::to_string(P.second);
+  }
+  /// The first few elements of \p S, rendered, for readable diffs.
+  std::string str(const std::set<Point> &S) const {
+    return render(S, [this](const Point &P) { return pointStr(P); });
+  }
+  static std::string str(const std::set<std::string> &S) {
+    return render(S, [](const std::string &F) { return F; });
+  }
+  template <typename T, typename StrFn>
+  static std::string render(const std::set<T> &S, StrFn Str) {
+    std::string Out = "{";
+    size_t I = 0;
+    for (const T &X : S) {
+      if (I == 4) {
+        Out += " ...";
+        break;
+      }
+      Out += (I++ ? " " : "") + Str(X);
+    }
+    return Out + "}";
+  }
+  /// "<what> diverge from td: missing={...} extra={...}".
+  template <typename T>
+  std::string divergence(const char *What, const std::set<T> &Got,
+                         const std::set<T> &Td) const {
+    return std::string(What) + " diverge from td: missing=" +
+           str(setMinus(Td, Got)) + " extra=" + str(setMinus(Got, Td));
+  }
 
+  void checkSoundness(const std::string &Name, const DomainRunResult &R);
+  void checkAgainstTd(const Row &Rw, const std::string &Name,
+                      const DomainRunResult &R, const DomainRunResult &Td);
+  void checkThreadDeterminism(const std::vector<Run> &Runs);
+  void checkPartialSoundness(const TsContext &Ctx, const DomainRunResult &Td,
+                             const std::set<SiteId> &TdSites);
+  void checkCheckpointResume(const TsContext &Ctx, const DomainRunResult &Td,
+                             const std::set<SiteId> &TdSites);
+  void checkIncremental(const std::set<SiteId> &TdSites);
+  void checkShardInvariance(const TsContext &Ctx,
+                            const std::set<SiteId> &TdSites);
+
+  const std::string &Domain;
   const Program &Prog;
   const OracleOptions &Opts;
   OracleResult Res;
+  /// Ground truth: what the witness schedules observed.
+  std::set<Point> WitnessReports;
+  std::set<std::string> WitnessExitFacts;
 };
 
-void OracleRun::checkSoundness(const TsConfigRun &R) {
-  std::vector<SiteId> Missed =
-      setMinus(Res.ConcreteErrors, R.Result.ErrorSites);
-  if (Missed.empty())
-    return;
-  std::ostringstream OS;
-  OS << "concretely erroring sites not reported:";
-  for (SiteId S : Missed)
-    OS << " @" << S;
-  OS << "; reported " << siteSetStr(R.Result.ErrorSites);
-  addViolation(CheckKind::Soundness, R.Name, OS.str());
+void OracleRun::checkSoundness(const std::string &Name,
+                               const DomainRunResult &R) {
+  std::set<Point> Missed = setMinus(WitnessReports, R.Reports);
+  if (!Missed.empty())
+    addViolation(CheckKind::Soundness, Name,
+                 "concrete reports not reported: " + str(Missed) +
+                     "; reported " + str(R.Reports));
+  std::set<std::string> MissedFacts = setMinus(WitnessExitFacts, R.ExitFacts);
+  if (!MissedFacts.empty())
+    addViolation(CheckKind::Soundness, Name,
+                 "concrete main-exit facts not reported: " +
+                     str(MissedFacts));
 }
 
-void OracleRun::checkAgainstTd(const TsConfigRun &R, const TsRunResult &Td) {
-  const TsRunResult &Rr = R.Result;
-
-  if (R.Kind == TsConfigRun::Mode::Bu) {
-    if (Rr.ErrorSites != Td.ErrorSites)
-      addViolation(CheckKind::BuAgreement, R.Name,
-                   "error sites " + siteSetStr(Rr.ErrorSites) +
-                       " != td " + siteSetStr(Td.ErrorSites));
-    if (Rr.MainExit != Td.MainExit)
-      addViolation(CheckKind::BuAgreement, R.Name,
-                   "main-exit states " + mainExitStr(Prog, Rr.MainExit) +
-                       " != td " + mainExitStr(Prog, Td.MainExit));
+void OracleRun::checkAgainstTd(const Row &Rw, const std::string &Name,
+                               const DomainRunResult &R,
+                               const DomainRunResult &Td) {
+  if (Rw.Mode == DomainMode::Bu) {
+    if (R.Reports != Td.Reports)
+      addViolation(CheckKind::BuAgreement, Name,
+                   divergence("report sites", R.Reports, Td.Reports));
+    if (R.ExitFacts != Td.ExitFacts)
+      addViolation(CheckKind::BuAgreement, Name,
+                   divergence("main-exit facts", R.ExitFacts, Td.ExitFacts));
     return;
   }
 
-  if (!R.Swift.ObservationManifest) {
-    // Ablation: the manifest only affects error *reporting*; value results
-    // must still coincide, and reporting may only under-approximate.
-    if (Rr.MainExit != Td.MainExit)
-      addViolation(CheckKind::ManifestOff, R.Name,
-                   "main-exit states " + mainExitStr(Prog, Rr.MainExit) +
-                       " != td " + mainExitStr(Prog, Td.MainExit));
-    std::vector<SiteId> Extra = setMinus(Rr.ErrorSites, Td.ErrorSites);
-    if (!Extra.empty()) {
-      std::ostringstream OS;
-      OS << "error sites not reported by td:";
-      for (SiteId S : Extra)
-        OS << " @" << S;
-      addViolation(CheckKind::ManifestOff, R.Name, OS.str());
-    }
+  if (!Rw.Manifest) {
+    // Ablation: the manifest only affects reporting; value results must
+    // still coincide, and reporting may only under-approximate.
+    if (R.ExitFacts != Td.ExitFacts)
+      addViolation(CheckKind::ManifestOff, Name,
+                   divergence("main-exit facts", R.ExitFacts, Td.ExitFacts));
+    std::set<Point> Extra = setMinus(R.Reports, Td.Reports);
+    if (!Extra.empty())
+      addViolation(CheckKind::ManifestOff, Name,
+                   "report sites td does not report: " + str(Extra));
     return;
   }
 
-  // Theorem 3.1: exact coincidence of error sites and main-exit states.
-  if (Rr.ErrorSites != Td.ErrorSites)
-    addViolation(CheckKind::TdCoincidence, R.Name,
-                 "error sites " + siteSetStr(Rr.ErrorSites) + " != td " +
-                     siteSetStr(Td.ErrorSites));
-  if (Rr.MainExit != Td.MainExit)
-    addViolation(CheckKind::TdCoincidence, R.Name,
-                 "main-exit states " + mainExitStr(Prog, Rr.MainExit) +
-                     " != td " + mainExitStr(Prog, Td.MainExit));
+  // Theorem 3.1: exact coincidence of report sites and main-exit facts.
+  if (R.Reports != Td.Reports)
+    addViolation(CheckKind::TdCoincidence, Name,
+                 divergence("report sites", R.Reports, Td.Reports));
+  if (R.ExitFacts != Td.ExitFacts)
+    addViolation(CheckKind::TdCoincidence, Name,
+                 divergence("main-exit facts", R.ExitFacts, Td.ExitFacts));
 
-  // Error points: SWIFT may move a point to the serving call site, but a
-  // point at a non-call node must be one TD computed too.
-  for (const TsError &E : Rr.ErrorPoints) {
-    if (Td.ErrorPoints.count(E) || isCallNode(Prog, E.Proc, E.Node))
+  // Report points: SWIFT may move a point to the serving call, but a
+  // point at a non-call node must be one TD saw too.
+  for (const auto &[Site, At] : R.ReportPoints) {
+    if (Td.ReportPoints.count({Site, At}) ||
+        Prog.proc(At.first).node(At.second).Cmd.Kind == CmdKind::Call)
       continue;
-    addViolation(CheckKind::ErrorPointSubset, R.Name,
-                 "error point " + errorPointStr(Prog, E) +
-                     " is at a non-call node and td never computed it");
+    addViolation(CheckKind::ErrorPointSubset, Name,
+                 "report of " + pointStr(Site) + " at " + pointStr(At) +
+                     " is at a non-call node and td never saw it");
   }
 }
 
-void OracleRun::checkThreadDeterminism(const std::vector<TsConfigRun> &Runs) {
-  // Group runs by everything except the worker count; results must be
-  // bit-identical within a group.
-  std::map<std::string, const TsConfigRun *> Rep;
-  for (const TsConfigRun &R : Runs) {
-    if (R.Result.Timeout)
+void OracleRun::checkThreadDeterminism(const std::vector<Run> &Runs) {
+  std::map<std::string, const Run *> Rep;
+  for (const Run &R : Runs) {
+    if (R.Result.Timeout || R.Rw->Mode == DomainMode::Td)
       continue;
-    std::string Key;
-    if (R.Kind == TsConfigRun::Mode::Bu)
-      Key = "bu";
-    else if (R.Kind == TsConfigRun::Mode::Swift)
-      Key = "swift/k" + std::to_string(R.Swift.K) + "/th" +
-            std::to_string(R.Swift.Theta) +
-            (R.Swift.ObservationManifest ? "" : "/nomanifest");
-    else
-      continue;
-
-    auto [It, Inserted] = Rep.emplace(Key, &R);
+    auto [It, Inserted] = Rep.emplace(groupName(*R.Rw), &R);
     if (Inserted)
       continue;
-    const TsConfigRun &First = *It->second;
-    const TsRunResult &A = First.Result, &B = R.Result;
+    const DomainRunResult &A = It->second->Result, &B = R.Result;
     auto Mismatch = [&](const char *What) {
-      addViolation(CheckKind::ThreadDeterminism, R.Name,
-                   std::string(What) + " differs from " + First.Name);
+      addViolation(CheckKind::ThreadDeterminism, rowName(*R.Rw),
+                   std::string(What) + " differ from " + Domain + "/" +
+                       rowName(*It->second->Rw));
     };
-    if (A.ErrorSites != B.ErrorSites)
-      Mismatch("error sites");
-    if (A.ErrorPoints != B.ErrorPoints)
-      Mismatch("error points");
-    if (A.MainExit != B.MainExit)
-      Mismatch("main-exit states");
-    if (A.TdSummaries != B.TdSummaries ||
-        A.TdSummariesPerProc != B.TdSummariesPerProc)
+    if (A.Reports != B.Reports)
+      Mismatch("report sites");
+    if (A.ReportPoints != B.ReportPoints)
+      Mismatch("report points");
+    if (A.ExitFacts != B.ExitFacts)
+      Mismatch("main-exit facts");
+    if (A.TdSummariesPerProc != B.TdSummariesPerProc)
       Mismatch("td-summary counts");
     if (A.BuRelations != B.BuRelations)
       Mismatch("bu-relation counts");
@@ -245,7 +295,8 @@ void OracleRun::checkThreadDeterminism(const std::vector<TsConfigRun> &Runs) {
 /// sites, partial verdicts never claim Proved for an unresolved tracked
 /// site, and a governed run that happens to complete coincides with TD.
 void OracleRun::checkPartialSoundness(const TsContext &Ctx,
-                                      const TsRunResult &Td) {
+                                      const DomainRunResult &Td,
+                                      const std::set<SiteId> &TdSites) {
   struct Probe {
     const char *Name;
     SwiftRunConfig Config;
@@ -272,18 +323,15 @@ void OracleRun::checkPartialSoundness(const TsContext &Ctx,
     TsGovernedResult G = runTypestateGoverned(Ctx, GO);
 
     // Partial or complete, reported error sites must be TD error sites.
-    std::vector<SiteId> Extra = setMinus(G.Run.ErrorSites, Td.ErrorSites);
-    if (!Extra.empty()) {
-      std::ostringstream OS;
-      OS << "partial run reports error sites td does not:";
-      for (SiteId S : Extra)
-        OS << " @" << S;
-      addViolation(CheckKind::PartialSoundness, P.Name, OS.str());
-    }
+    std::set<SiteId> Extra = setMinus(G.Run.ErrorSites, TdSites);
+    if (!Extra.empty())
+      addViolation(CheckKind::PartialSoundness, P.Name,
+                   "partial run reports error sites td does not: " +
+                       siteSetStr(Extra));
 
     for (uint32_t S = 0; S != G.Verdicts.size(); ++S) {
       TsVerdict V = G.Verdicts[S];
-      if (V == TsVerdict::ErrorReported && !Td.ErrorSites.count(S))
+      if (V == TsVerdict::ErrorReported && !TdSites.count(S))
         addViolation(CheckKind::PartialSoundness, P.Name,
                      "verdict for @" + std::to_string(S) +
                          " is error but td never reports it");
@@ -291,7 +339,7 @@ void OracleRun::checkPartialSoundness(const TsContext &Ctx,
         addViolation(CheckKind::PartialSoundness, P.Name,
                      "partial run claims Proved for tracked site @" +
                          std::to_string(S));
-      if (V == TsVerdict::Proved && !G.Partial && Td.ErrorSites.count(S))
+      if (V == TsVerdict::Proved && !G.Partial && TdSites.count(S))
         addViolation(CheckKind::PartialSoundness, P.Name,
                      "complete governed run claims Proved for @" +
                          std::to_string(S) + " but td reports it");
@@ -299,16 +347,17 @@ void OracleRun::checkPartialSoundness(const TsContext &Ctx,
 
     if (!G.Partial) {
       // A completed governed run is an ordinary run; full coincidence.
-      if (G.Run.ErrorSites != Td.ErrorSites)
+      if (G.Run.ErrorSites != TdSites)
         addViolation(CheckKind::PartialSoundness, P.Name,
                      "complete governed run's error sites " +
                          siteSetStr(G.Run.ErrorSites) + " != td " +
-                         siteSetStr(Td.ErrorSites));
-      if (G.Run.MainExit != Td.MainExit)
+                         siteSetStr(TdSites));
+      std::set<std::string> Exit =
+          clients::typestateResult(Prog, G.Run).ExitFacts;
+      if (Exit != Td.ExitFacts)
         addViolation(CheckKind::PartialSoundness, P.Name,
-                     "complete governed run's main-exit states " +
-                         mainExitStr(Prog, G.Run.MainExit) + " != td " +
-                         mainExitStr(Prog, Td.MainExit));
+                     "complete governed run's " +
+                         divergence("main-exit states", Exit, Td.ExitFacts));
     }
   }
 }
@@ -317,8 +366,9 @@ void OracleRun::checkPartialSoundness(const TsContext &Ctx,
 /// the checkpoint, parse it back, resume with an unlimited budget, and
 /// demand bit-identity with the uninterrupted reference in every result
 /// field.
-void OracleRun::checkCheckpointResume(const TsContext &Ctx, Symbol Tracked,
-                                      const TsRunResult &Td) {
+void OracleRun::checkCheckpointResume(const TsContext &Ctx,
+                                      const DomainRunResult &Td,
+                                      const std::set<SiteId> &TdSites) {
   const char *Name = "checkpoint-resume/td-half";
   SwiftRunConfig TdCfg;
   TdCfg.K = NoBuTrigger;
@@ -334,7 +384,8 @@ void OracleRun::checkCheckpointResume(const TsContext &Ctx, Symbol Tracked,
   if (!G.Partial) {
     // Tiny program: nothing was checkpointed, the run just completed —
     // the coincidence half of the contract still applies.
-    if (G.Run.ErrorSites != Td.ErrorSites || G.Run.MainExit != Td.MainExit)
+    if (G.Run.ErrorSites != TdSites ||
+        clients::typestateResult(Prog, G.Run).ExitFacts != Td.ExitFacts)
       addViolation(CheckKind::CheckpointResume, Name,
                    "governed run completed under the limited budget but "
                    "does not coincide with td");
@@ -345,7 +396,7 @@ void OracleRun::checkCheckpointResume(const TsContext &Ctx, Symbol Tracked,
   // itself is under test.
   TsCheckpoint C;
   C.Config = TdCfg;
-  C.TrackedClass = Prog.symbols().text(Tracked);
+  C.TrackedClass = Prog.symbols().text(Ctx.spec().name());
   C.StepsConsumed = Snap.StepsConsumed;
   C.Snapshot = std::move(Snap);
 
@@ -371,45 +422,37 @@ void OracleRun::checkCheckpointResume(const TsContext &Ctx, Symbol Tracked,
                  "resumed run with unlimited budget did not complete");
     return;
   }
+  // The resumed run lives in the re-parsed program's symbol-id space:
+  // site, proc, and node ids survive the checkpoint text round trip by
+  // construction, but symbols re-intern in textual order, which need not
+  // match the original program's interning order (a generator-built
+  // program interns in generation order). Abstract states carry access
+  // paths — Symbols — so the adapter renders them through the resumed
+  // program's own symbol table; comparing raw ids would flag identical
+  // states as different whenever the two orders disagree.
+  DomainRunResult Got = clients::typestateResult(*PC.Prog, std::move(R.Run));
   auto Mismatch = [&](const char *What, const std::string &Detail) {
     addViolation(CheckKind::CheckpointResume, Name,
                  std::string(What) + " of resumed run differs from the "
                                      "uninterrupted run: " +
                      Detail);
   };
-  if (R.Run.ErrorSites != Td.ErrorSites)
-    Mismatch("error sites", siteSetStr(R.Run.ErrorSites) + " != " +
-                                siteSetStr(Td.ErrorSites));
-  if (R.Run.ErrorPoints != Td.ErrorPoints)
+  if (Got.Reports != Td.Reports)
+    Mismatch("error sites", divergence("sites", Got.Reports, Td.Reports));
+  if (Got.ReportPoints != Td.ReportPoints)
     Mismatch("error points", "set contents differ");
-  // The resumed run lives in the re-parsed program's symbol-id space:
-  // site, proc, and node ids survive the checkpoint text round trip by
-  // construction, but symbols re-intern in textual order, which need not
-  // match the original program's interning order (a generator-built
-  // program interns in generation order). Abstract states carry access
-  // paths — Symbols — so they must be compared by rendered text through
-  // each run's own symbol table; comparing raw ids flags identical states
-  // as different (and prints them with swapped names) whenever the two
-  // orders disagree.
-  auto RenderExit = [](const Program &P,
-                       const std::set<TsAbstractState> &S) {
-    std::set<std::string> Out;
-    for (const TsAbstractState &St : S)
-      Out.insert(St.str(P));
-    return Out;
-  };
-  if (RenderExit(*PC.Prog, R.Run.MainExit) != RenderExit(Prog, Td.MainExit))
-    Mismatch("main-exit states", mainExitStr(*PC.Prog, R.Run.MainExit) +
-                                     " != " + mainExitStr(Prog, Td.MainExit));
-  if (R.Run.TdSummaries != Td.TdSummaries)
+  if (Got.ExitFacts != Td.ExitFacts)
+    Mismatch("main-exit states",
+             divergence("states", Got.ExitFacts, Td.ExitFacts));
+  if (Got.TdSummaries != Td.TdSummaries)
     Mismatch("td-summary count",
-             std::to_string(R.Run.TdSummaries) + " != " +
+             std::to_string(Got.TdSummaries) + " != " +
                  std::to_string(Td.TdSummaries));
-  if (R.Run.TdSummariesPerProc != Td.TdSummariesPerProc)
+  if (Got.TdSummariesPerProc != Td.TdSummariesPerProc)
     Mismatch("per-procedure td-summary counts", "vectors differ");
-  if (R.Run.BuRelations != Td.BuRelations)
+  if (Got.BuRelations != Td.BuRelations)
     Mismatch("bu-relation count",
-             std::to_string(R.Run.BuRelations) + " != " +
+             std::to_string(Got.BuRelations) + " != " +
                  std::to_string(Td.BuRelations));
 }
 
@@ -421,10 +464,11 @@ void OracleRun::checkCheckpointResume(const TsContext &Ctx, Symbol Tracked,
 /// the other checks skip timed-out runs. The relation cap is deliberately
 /// tight so unprunable fuzz programs fail fast instead of stalling the
 /// seed loop.
-void OracleRun::checkIncremental(Symbol Tracked, const TsRunResult &Td) {
+void OracleRun::checkIncremental(const std::set<SiteId> &TdSites) {
   const char *Name = "incremental/edit-replay";
+  const unsigned Edits = 3; // Edits replayed per program.
   serve::EngineOptions EO;
-  EO.TrackedClass = Prog.symbols().text(Tracked);
+  EO.TrackedClass = Prog.symbols().text(Prog.spec(0).name());
   EO.MaxStepsPerRequest = Opts.Limits.MaxSteps;
   EO.MaxRelsPerPoint = 1 << 12;
 
@@ -442,11 +486,11 @@ void OracleRun::checkIncremental(Symbol Tracked, const TsRunResult &Td) {
 
   // The cold solve is an unpruned BU run; its error sites must coincide
   // with the TD reference (site ids survive the text round trip).
-  if (Inc->errorSites() != Td.ErrorSites) {
+  if (Inc->errorSites() != TdSites) {
     addViolation(CheckKind::IncrementalCoincidence, Name,
                  "initial serve solve's error sites " +
                      siteSetStr(Inc->errorSites()) + " != td " +
-                     siteSetStr(Td.ErrorSites));
+                     siteSetStr(TdSites));
     return;
   }
 
@@ -454,7 +498,7 @@ void OracleRun::checkIncremental(Symbol Tracked, const TsRunResult &Td) {
   // any other rejection of a generated edit is a generator/engine bug.
   unsigned Applied = 0;
   for (uint64_t K = 0;
-       K != 2 * Opts.IncrementalEdits && Applied != Opts.IncrementalEdits;
+       K != 2 * Edits && Applied != Edits;
        ++K) {
     std::optional<serve::FuzzEdit> E =
         serve::makeFuzzEdit(Inc->programText(), Opts.InterpSeed, K);
@@ -527,7 +571,7 @@ void OracleRun::checkIncremental(Symbol Tracked, const TsRunResult &Td) {
     J.resetJournal();
     unsigned JApplied = 0;
     for (uint64_t K = 0;
-         K != 2 * Opts.IncrementalEdits && JApplied != Opts.IncrementalEdits;
+         K != 2 * Edits && JApplied != Edits;
          ++K) {
       std::optional<serve::FuzzEdit> E =
           serve::makeFuzzEdit(J.programText(), Opts.InterpSeed, K);
@@ -581,8 +625,8 @@ void OracleRun::checkIncremental(Symbol Tracked, const TsRunResult &Td) {
 /// route. A forced permanent failure of shard 0 must keep the remaining
 /// verdicts sound: reported errors are TD errors, and no tracked site
 /// whose resolution touched a degraded summary is claimed Proved.
-void OracleRun::checkShardInvariance(const TsContext &Ctx, Symbol Tracked,
-                                     const TsRunResult &Td) {
+void OracleRun::checkShardInvariance(const TsContext &Ctx,
+                                     const std::set<SiteId> &TdSites) {
   // The sharded runner adopts summaries back through the text codec,
   // which interns symbols — it needs a mutable program. Run it on a
   // private text round trip; site ids survive the round trip, so error
@@ -595,7 +639,7 @@ void OracleRun::checkShardInvariance(const TsContext &Ctx, Symbol Tracked,
                  std::string("program text round trip failed: ") + E.what());
     return;
   }
-  std::string Class = Prog.symbols().text(Tracked);
+  std::string Class = Prog.symbols().text(Ctx.spec().name());
 
   shard::ShardedOptions SO;
   SO.MaxSteps = Opts.Limits.MaxSteps;
@@ -607,10 +651,10 @@ void OracleRun::checkShardInvariance(const TsContext &Ctx, Symbol Tracked,
     if (!R.Complete)
       return; // budget exhaustion is a resource fact: skip, don't fail
     std::string KName = "shard/k" + std::to_string(K);
-    if (R.ErrorSites != Td.ErrorSites)
+    if (R.ErrorSites != TdSites)
       addViolation(CheckKind::ShardInvariance, KName,
                    "error sites " + siteSetStr(R.ErrorSites) + " != td " +
-                       siteSetStr(Td.ErrorSites));
+                       siteSetStr(TdSites));
     if (!Ref) {
       Ref = std::move(R);
       RefName = KName;
@@ -638,112 +682,115 @@ void OracleRun::checkShardInvariance(const TsContext &Ctx, Symbol Tracked,
   if (!D.Complete)
     return;
   const char *DName = "shard/k2-degraded0";
-  std::vector<SiteId> Extra = setMinus(D.ErrorSites, Td.ErrorSites);
-  if (!Extra.empty()) {
-    std::ostringstream OS;
-    OS << "degraded run reports error sites td does not:";
-    for (SiteId S : Extra)
-      OS << " @" << S;
-    addViolation(CheckKind::ShardInvariance, DName, OS.str());
-  }
+  std::set<SiteId> Extra = setMinus(D.ErrorSites, TdSites);
+  if (!Extra.empty())
+    addViolation(CheckKind::ShardInvariance, DName,
+                 "degraded run reports error sites td does not: " +
+                     siteSetStr(Extra));
   if (D.Degraded) {
     for (uint32_t S = 0; S != D.Verdicts.size(); ++S)
       if (D.Verdicts[S] == TsVerdict::Proved && Ctx.isTrackedSite(S))
         addViolation(CheckKind::ShardInvariance, DName,
                      "degraded run claims Proved for tracked site @" +
                          std::to_string(S));
-  } else if (D.ErrorSites != Td.ErrorSites) {
+  } else if (D.ErrorSites != TdSites) {
     // Shard 0 fell outside main's closure, so the run was full after all
     // and owes exact coincidence.
     addViolation(CheckKind::ShardInvariance, DName,
                  "error sites " + siteSetStr(D.ErrorSites) + " != td " +
-                     siteSetStr(Td.ErrorSites));
+                     siteSetStr(TdSites));
   }
 }
 
 OracleResult OracleRun::run() {
-  if (Prog.numSpecs() == 0)
-    throw std::runtime_error("difftest oracle: program has no typestate spec");
-  const TypestateSpec *Spec = nullptr;
-  if (Opts.TrackedClass.empty()) {
-    Spec = &Prog.spec(0);
-  } else {
-    for (size_t I = 0; I != Prog.numSpecs() && !Spec; ++I)
-      if (Prog.symbols().text(Prog.spec(I).name()) == Opts.TrackedClass)
-        Spec = &Prog.spec(I);
-    if (!Spec)
-      throw std::runtime_error("difftest oracle: no typestate spec for '" +
-                               Opts.TrackedClass + "'");
-  }
-  Symbol Tracked = Spec->name();
-
-  // Ground truth: union of the error sites seen by several concrete
-  // schedules. Errors recorded before a budget exhaustion are still real
-  // executions, so incomplete runs contribute too.
+  // Ground truth: the union of several witness schedules. Reports seen
+  // before a budget exhaustion are still real executions, so incomplete
+  // schedules contribute too; exit facts count only from schedules that
+  // reached main's exit.
   for (unsigned I = 0; I != Opts.Schedules; ++I) {
-    InterpConfig IC;
-    IC.Seed = Opts.InterpSeed + I;
-    IC.MaxSteps = Opts.InterpMaxSteps;
+    clients::WitnessConfig WC;
+    WC.Seed = Opts.InterpSeed + I;
+    WC.MaxSteps = 20'000;
     // Alternate loop appetites so both quick exits and deep iteration get
     // explored.
-    IC.LoopContinuePerMille = (I % 2) ? 700 : 300;
-    InterpResult IR = interpret(Prog, IC);
-    for (SiteId S : IR.ErrorSites)
-      Res.ConcreteErrors.insert(S);
+    WC.LoopContinuePerMille = (I % 2) ? 700 : 300;
+    clients::WitnessResult W = clients::runClientWitness(Domain, Prog, WC);
+    WitnessReports.insert(W.Events.begin(), W.Events.end());
+    if (W.ExitFactsValid)
+      WitnessExitFacts.insert(W.ExitFacts.begin(), W.ExitFacts.end());
   }
 
-  TsContext Ctx(Prog, Tracked);
-  std::vector<TsConfigRun> Runs = runAllConfigs(Ctx, Opts.Limits,
-                                                Opts.Configs);
-  for (const TsConfigRun &R : Runs) {
+  std::vector<Run> Runs;
+  // Once a pure BU run or a SWIFT (k, theta) times out, skip its other
+  // worker-count and manifest variants: the step budget bounds total
+  // work, so they would burn the same wall budget just to time out again.
+  bool BuTimedOut = false;
+  std::set<std::pair<uint64_t, uint64_t>> TimedOutKT;
+  for (const Row &Rw : Table) {
+    if (Rw.Mode == DomainMode::Bu ? BuTimedOut
+                                  : TimedOutKT.count({Rw.K, Rw.Theta}) != 0)
+      continue;
+    Run R{&Rw, clients::runClientDomain(Domain, Prog, Rw.Mode, Rw.K,
+                                        Rw.Theta, Rw.Threads, Opts.Limits,
+                                        Rw.Manifest)};
     ++Res.RunsDone;
-    if (R.Result.Timeout)
+    if (R.Result.Timeout) {
       ++Res.RunsTimedOut;
+      if (Rw.Mode == DomainMode::Bu)
+        BuTimedOut = true;
+      else if (Rw.Mode == DomainMode::Swift)
+        TimedOutKT.insert({Rw.K, Rw.Theta});
+    }
+    Runs.push_back(std::move(R));
   }
 
-  const TsConfigRun &Td = Runs.front();
-  bool TdOk = !Td.Result.Timeout;
+  const DomainRunResult &Td = Runs.front().Result;
+  bool TdOk = !Td.Timeout;
   // A timed-out reference is a resource fact, not a bug: reference-
   // dependent checks are skipped, and the flag lets tools exit with the
   // distinct resource-exhausted code instead of silently passing.
   Res.ReferenceTimedOut = !TdOk;
 
-  for (const TsConfigRun &R : Runs) {
+  for (const Run &R : Runs) {
     if (R.Result.Timeout)
       continue;
-    // The concrete semantics only enters error states the manifest-on
-    // analyses are required to report.
-    if (R.Kind != TsConfigRun::Mode::Swift || R.Swift.ObservationManifest)
-      checkSoundness(R);
-    if (TdOk && &R != &Td)
-      checkAgainstTd(R, Td.Result);
+    // The concrete semantics only reaches what the manifest-on analyses
+    // are required to report.
+    if (R.Rw->Manifest)
+      checkSoundness(rowName(*R.Rw), R.Result);
+    if (TdOk && &R != &Runs.front())
+      checkAgainstTd(*R.Rw, rowName(*R.Rw), R.Result, Td);
   }
   checkThreadDeterminism(Runs);
 
-  if (TdOk && Opts.CheckPartial)
-    checkPartialSoundness(Ctx, Td.Result);
-  if (TdOk && Opts.CheckCheckpoint)
-    checkCheckpointResume(Ctx, Tracked, Td.Result);
-  if (TdOk && Opts.CheckIncremental)
-    checkIncremental(Tracked, Td.Result);
-  if (TdOk && Opts.CheckShard)
-    checkShardInvariance(Ctx, Tracked, Td.Result);
-
+  if (!TdOk || Domain != "typestate")
+    return std::move(Res);
+  TsContext Ctx(Prog, Prog.spec(0).name());
+  std::set<SiteId> TdSites;
+  for (SiteId S = 0; S != Prog.numSites(); ++S)
+    if (Td.Reports.count({Prog.site(S).Proc, Prog.site(S).Node}))
+      TdSites.insert(S);
+  checkPartialSoundness(Ctx, Td, TdSites);
+  checkCheckpointResume(Ctx, Td, TdSites);
+  checkIncremental(TdSites);
+  checkShardInvariance(Ctx, TdSites);
   return std::move(Res);
 }
 
 } // namespace
 
-OracleResult swift::difftest::runOracle(const Program &Prog,
+OracleResult swift::difftest::runOracle(const std::string &Domain,
+                                        const Program &Prog,
                                         const OracleOptions &Opts) {
-  OracleRun R(Prog, Opts);
+  OracleRun R(Domain, Prog, Opts);
   return R.run();
 }
 
-ProgramOracle swift::difftest::typestateOracle(const OracleOptions &Opts) {
-  return [Opts](const Program &Prog, uint64_t InterpSeed) {
+ProgramOracle swift::difftest::programOracle(const std::string &Domain,
+                                             const OracleOptions &Opts) {
+  return [Domain, Opts](const Program &Prog, uint64_t InterpSeed) {
     OracleOptions OO = Opts;
     OO.InterpSeed = InterpSeed;
-    return runOracle(Prog, OO);
+    return runOracle(Domain, Prog, OO);
   };
 }

@@ -5,35 +5,46 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The differential-testing oracle: runs the concrete interpreter as
-/// ground truth and the whole analysis-mode matrix (TD, pure BU, SWIFT at
-/// several (k, theta), thread counts, manifest on/off) on
-/// one program, then checks every relation the paper guarantees:
+/// The differential-testing oracle, one for every registered domain
+/// (clients/Registry.h: typestate, taint, nullderef, reachdefs,
+/// interval). It runs the domain's concrete witness (clients/Concrete.h)
+/// as ground truth and one 16-row table of analysis modes on one program
+/// — TD (the reference); pure BU at 1, 2 and 4 threads; SWIFT at (k,
+/// theta) in {(0,1), (1,1), (2,1), (1,2), (3,2), (5,2)}; (2,1) and (5,2)
+/// at 2 and 4 threads; and (2,1) and (5,2) with the observation manifest
+/// off — then checks every relation the paper guarantees:
 ///
-///  * Soundness — every allocation site that concretely reaches the error
-///    state is reported by every complete manifest-on run.
-///  * TD coincidence (Theorem 3.1) — SWIFT's error sites and main-exit
-///    states equal TD's at every (k, theta, threads).
-///  * Error-point containment — a SWIFT error point is a TD error point
-///    unless it sits at a call command (the observation manifest reports
-///    errors inside summary-served callees at the serving call site).
+///  * Soundness — every witness report site, and every main-exit fact of
+///    a witness schedule that reached main's exit, is reported by every
+///    complete manifest-on run.
+///  * TD coincidence (Theorem 3.1) — SWIFT's report sites and main-exit
+///    facts equal TD's at every (k, theta, threads).
+///  * Report-point containment — a SWIFT report point is a TD report
+///    point unless it sits at a call command (the observation manifest
+///    reports findings inside summary-served callees at the serving
+///    call).
 ///  * BU agreement — the unpruned bottom-up analysis, instantiated on the
-///    initial state, matches TD's error sites and main-exit states.
-///  * Manifest-off ablation — value results still coincide; error sites
-///    may only under-approximate TD's, never over-approximate.
-///  * Thread determinism — runs differing only in worker count are
-///    identical in every result field.
+///    initial state, matches TD's report sites and main-exit facts.
+///  * Manifest-off ablation — main-exit facts still coincide; report
+///    sites may only under-approximate TD's, never over-approximate.
+///  * Thread determinism — rows differing only in worker count agree in
+///    report sites, report points, main-exit facts and summary counts.
+///
+/// Typestate adds four contracts of the machinery only it has: governed
+/// partial soundness, checkpoint-resume, incremental coincidence (serve)
+/// and shard invariance. Violations name their configuration
+/// `<domain>/<row>`, e.g. "taint/swift/k2/th1/t4" or "typestate/bu/t1",
+/// so a reproducer records which domain to replay it under.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SWIFT_DIFFTEST_ORACLE_H
 #define SWIFT_DIFFTEST_ORACLE_H
 
+#include "framework/RunDriver.h"
 #include "ir/Program.h"
-#include "typestate/Runner.h"
 
 #include <functional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -54,8 +65,8 @@ enum class CheckKind {
   PartialSoundness,
   /// A run checkpointed at budget exhaustion and resumed (through a full
   /// checkpoint-text round trip) with an unlimited budget is bit-identical
-  /// to the uninterrupted run — summaries, relations, error sites, error
-  /// points, and main-exit states.
+  /// to the uninterrupted run — summary and relation counts, error sites,
+  /// error points, and main-exit states.
   CheckpointResume,
   /// The incremental serve engine, replaying a deterministic sequence of
   /// procedure-replacement edits with dependency-driven summary reuse,
@@ -77,7 +88,7 @@ const char *checkKindName(CheckKind K);
 /// One oracle failure: which guarantee broke, on which configuration.
 struct Violation {
   CheckKind Kind;
-  std::string Config; ///< runAllConfigs name, e.g. "swift/k1/th2/t4".
+  std::string Config; ///< `<domain>/<row>`, e.g. "typestate/swift/k1/th2".
   std::string Detail;
 };
 
@@ -85,52 +96,38 @@ struct OracleOptions {
   /// Budget per analysis run. A run that times out is skipped by every
   /// check rather than reported (timeouts are resource facts, not bugs).
   RunLimits Limits{2'000'000, 10.0};
-  /// Concrete interpreter schedules unioned into the ground truth.
+  /// Concrete witness schedules unioned into the ground truth.
   unsigned Schedules = 8;
   uint64_t InterpSeed = 1;
-  uint64_t InterpMaxSteps = 20'000;
-  AllConfigsOptions Configs;
-  /// Typestate class under verification; empty selects the program's
-  /// first spec (fuzz programs declare exactly one, "File").
-  std::string TrackedClass;
-  /// Run the governed partial-soundness checks (budget-limited runs at
-  /// fractions of the reference run's step count).
-  bool CheckPartial = true;
-  /// Run the checkpoint/resume bit-identity check.
-  bool CheckCheckpoint = true;
-  /// Run the incremental-vs-from-scratch edit-replay check.
-  bool CheckIncremental = true;
-  /// Edits replayed per program by the incremental check.
-  unsigned IncrementalEdits = 3;
-  /// Run the shard-count-invariance and forced-degradation checks.
-  bool CheckShard = true;
 };
 
 struct OracleResult {
   std::vector<Violation> Violations;
-  std::set<SiteId> ConcreteErrors;
   unsigned RunsDone = 0;
   unsigned RunsTimedOut = 0;
   /// The TD reference run itself exhausted its budget: the checks needing
-  /// a completed reference (coincidence, partial-soundness,
-  /// checkpoint-resume) were skipped, not failed. Tools report such runs
-  /// with a distinct resource-exhausted exit code.
+  /// a completed reference (coincidence, agreement, the typestate
+  /// contracts) were skipped, not failed. Tools report such runs with a
+  /// distinct resource-exhausted exit code.
   bool ReferenceTimedOut = false;
   bool clean() const { return Violations.empty(); }
 };
 
-/// Runs the full matrix and all checks on \p Prog. Throws
-/// std::runtime_error if the program declares no typestate spec.
-OracleResult runOracle(const Program &Prog, const OracleOptions &Opts);
+/// Runs the table and all checks of \p Domain on \p Prog. Throws
+/// std::runtime_error for an unregistered domain, and for typestate on a
+/// program that declares no typestate spec.
+OracleResult runOracle(const std::string &Domain, const Program &Prog,
+                       const OracleOptions &Opts);
 
 /// An oracle as the campaign, reducer and replay drivers see it: checks
 /// one program, seeding its concrete schedules from \p InterpSeed.
 using ProgramOracle =
     std::function<OracleResult(const Program &Prog, uint64_t InterpSeed)>;
 
-/// The typestate oracle, runOracle with \p Opts; the driver's InterpSeed
-/// replaces Opts.InterpSeed.
-ProgramOracle typestateOracle(const OracleOptions &Opts);
+/// runOracle for \p Domain with \p Opts; the driver's InterpSeed replaces
+/// Opts.InterpSeed.
+ProgramOracle programOracle(const std::string &Domain,
+                            const OracleOptions &Opts);
 
 } // namespace difftest
 } // namespace swift

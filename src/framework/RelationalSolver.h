@@ -570,7 +570,11 @@ private:
           SV.Sigma = &EmptySigma;
         }
         const Binding &Bind = binding(P, N, Node.Cmd);
+        // Each input relation composes with the callee's whole summary,
+        // work that the one step charged for it above does not bound.
         for (const Rel &R : Vals[N].Rels) {
+          if (!Bud.poll())
+            return false;
           AN::composeCall(Ctx, Bind, R, SV, OutVal.Rels, OutVal.Sigma);
           if (OutVal.Rels.size() > MaxRels) {
             ++S.counter(CtrRelCapHits);
@@ -593,6 +597,8 @@ private:
         ObsSV.Sigma = HasSummary[G] ? &Summaries[G].SigmaAll : &EmptySigma;
         std::vector<Rel> LiftedObs;
         for (const Rel &R : Vals[N].Rels) {
+          if (!Bud.poll())
+            return false;
           AN::composeCall(Ctx, Bind, R, ObsSV, LiftedObs, SigAll);
           if (LiftedObs.size() > MaxRels) {
             ++S.counter(CtrRelCapHits);
@@ -649,7 +655,11 @@ private:
           Vals[Succ].HasLambda = true;
           Grew = true;
         }
+        size_t Merged = 0;
         for (const Rel &R : OutVal.Rels) {
+          // Sorted inserts into a large value can run long too.
+          if ((++Merged & 1023) == 0 && !Bud.poll())
+            return false;
           // A relation whose domain the successor already ignores was
           // pruned there before; re-inserting it would oscillate with
           // pruning and the loop fixpoint would never converge.

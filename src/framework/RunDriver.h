@@ -29,8 +29,10 @@
 #include "support/Timer.h"
 
 #include <cstdint>
+#include <numeric>
 #include <optional>
 #include <utility>
+#include <vector>
 
 namespace swift {
 
@@ -47,6 +49,7 @@ struct RunCounts {
   double Seconds = 0;
   uint64_t Steps = 0;
   uint64_t TdSummaries = 0; ///< Total (entry, exit) pairs.
+  std::vector<uint64_t> TdSummariesPerProc; ///< By ProcId; empty for BU.
   uint64_t BuRelations = 0; ///< Total (r, phi) relations.
   Stats Stat;
 };
@@ -59,7 +62,9 @@ void recordRun(RunCounts &R, const TabulationSolver<AN> &Solver,
   R.Timeout = !Finished;
   R.Seconds = B.seconds();
   R.Steps = B.steps();
-  R.TdSummaries = Solver.totalTdSummaries();
+  R.TdSummariesPerProc = Solver.tdSummariesPerProc();
+  R.TdSummaries = std::accumulate(R.TdSummariesPerProc.begin(),
+                                  R.TdSummariesPerProc.end(), uint64_t(0));
   R.BuRelations = Solver.totalBuRelations();
   R.Stat = std::move(Stat);
 }

@@ -298,10 +298,11 @@ public:
     return N;
   }
 
-  uint64_t totalTdSummaries() const {
-    uint64_t N = 0;
+  /// numTdSummaries of every procedure, indexed by ProcId.
+  std::vector<uint64_t> tdSummariesPerProc() const {
+    std::vector<uint64_t> N(Prog.numProcs());
     for (ProcId P = 0; P != Prog.numProcs(); ++P)
-      N += numTdSummaries(P);
+      N[P] = numTdSummaries(P);
     return N;
   }
 

@@ -93,6 +93,21 @@ public:
     return true;
   }
 
+  /// Checks the budget without consuming a step: false once it is
+  /// exhausted or its wall clock has run out. Loops inside one unit of
+  /// work that can run long (a call composition over thousands of
+  /// relations) poll it so they stop near the wall limit, and step
+  /// counts stay the same.
+  bool poll() {
+    if (Exhausted.load(std::memory_order_relaxed))
+      return false;
+    if (Clock.seconds() > MaxSeconds) {
+      Exhausted.store(true, std::memory_order_relaxed);
+      return false;
+    }
+    return true;
+  }
+
   /// Marks the budget exhausted from the outside. The resource governor
   /// calls this when a limit the Budget itself cannot see — the memory
   /// estimate — is exceeded, so every solver sharing the budget aborts at

@@ -28,14 +28,12 @@ tabulationConfig(const SwiftRunConfig &SC) {
 void harvest(const TsContext &Ctx, const TabulationSolver<TsAnalysis> &Solver,
              TsRunResult &R, bool HarvestPartial = false) {
   const Program &Prog = Ctx.program();
-  R.TdSummariesPerProc.resize(Prog.numProcs());
   if (R.Timeout && !HarvestPartial) {
     R.TdSummaries = 0;
+    R.TdSummariesPerProc.assign(Prog.numProcs(), 0);
     R.BuRelations = 0;
     return;
   }
-  for (ProcId P = 0; P != Prog.numProcs(); ++P)
-    R.TdSummariesPerProc[P] = Solver.numTdSummaries(P);
 
   TState Error = Ctx.spec().errorState();
   Solver.forEachFact([&](ProcId P, NodeId N, const TsAbstractState &Entry,
@@ -198,7 +196,6 @@ TsGovernedResult swift::runTypestateGoverned(const TsContext &Ctx,
 TsRunResult swift::runTypestateBu(const TsContext &Ctx, RunLimits Limits,
                                   unsigned Threads) {
   TsRunResult R;
-  R.TdSummariesPerProc.resize(Ctx.program().numProcs());
   runPureBu<TsAnalysis>(
       Ctx, Limits, Threads, R,
       [&](const RelationalSolver<TsAnalysis>::Summary &Main) {
@@ -208,99 +205,4 @@ TsRunResult swift::runTypestateBu(const TsContext &Ctx, RunLimits Limits,
   if (R.Timeout)
     R.BuRelations = 0; // The timeout contract of TsRunResult.
   return R;
-}
-
-std::vector<TsConfigRun> swift::runAllConfigs(const TsContext &Ctx,
-                                              RunLimits Limits,
-                                              const AllConfigsOptions &Opts) {
-  std::vector<TsConfigRun> Runs;
-
-  auto SwiftName = [](const SwiftRunConfig &SC) {
-    std::string N = "swift/k" + std::to_string(SC.K) + "/th" +
-                    std::to_string(SC.Theta);
-    if (SC.Threads != 1)
-      N += "/t" + std::to_string(SC.Threads);
-    if (!SC.ObservationManifest)
-      N += "/nomanifest";
-    return N;
-  };
-  // Once a (k, theta) times out, skip its other thread/manifest
-  // variants: the step budget bounds total work, so they would burn the
-  // same wall budget just to time out again.
-  std::set<std::pair<uint64_t, uint64_t>> TimedOutKT;
-  auto AddSwift = [&](const SwiftRunConfig &SC) {
-    if (TimedOutKT.count({SC.K, SC.Theta}))
-      return;
-    TsConfigRun R;
-    R.Name = SwiftName(SC);
-    R.Kind = TsConfigRun::Mode::Swift;
-    R.Swift = SC;
-    R.Result = runTypestateSwift(Ctx, SC, Limits);
-    if (R.Result.Timeout)
-      TimedOutKT.insert({SC.K, SC.Theta});
-    Runs.push_back(std::move(R));
-  };
-
-  // TD first: it is the reference every coincidence check compares against.
-  {
-    TsConfigRun R;
-    R.Name = "td";
-    R.Kind = TsConfigRun::Mode::Td;
-    R.Result = runTypestateTd(Ctx, Limits);
-    Runs.push_back(std::move(R));
-  }
-
-  if (Opts.IncludeBu)
-    for (unsigned T : Opts.ThreadCounts) {
-      TsConfigRun R;
-      R.Name = "bu/t" + std::to_string(T);
-      R.Kind = TsConfigRun::Mode::Bu;
-      R.BuThreads = T;
-      R.Result = runTypestateBu(Ctx, Limits, T);
-      bool TimedOut = R.Result.Timeout;
-      Runs.push_back(std::move(R));
-      if (TimedOut)
-        break; // pure BU blow-up: higher thread counts do the same work
-    }
-
-  // SWIFT sync at several (k, theta): the trigger fires at different
-  // times, so these cover very different mixes of analyzed vs served
-  // calls. All must coincide with TD exactly (Theorem 3.1).
-  const std::pair<uint64_t, uint64_t> KTheta[] = {{0, 1}, {1, 1}, {2, 1},
-                                                  {1, 2}, {3, 2}, {5, 2}};
-  for (auto [K, Theta] : KTheta) {
-    SwiftRunConfig SC;
-    SC.K = K;
-    SC.Theta = Theta;
-    AddSwift(SC);
-  }
-
-  // Bottom-up worker threads: results must be bit-identical at every
-  // count, so two representative (k, theta) points suffice per count.
-  for (unsigned T : Opts.ThreadCounts) {
-    if (T == 1)
-      continue; // covered above
-    for (auto [K, Theta] :
-         {std::pair<uint64_t, uint64_t>{2, 1}, {5, 2}}) {
-      SwiftRunConfig SC;
-      SC.K = K;
-      SC.Theta = Theta;
-      SC.Threads = T;
-      AddSwift(SC);
-    }
-  }
-
-  // Manifest off: value results must still coincide; error reporting is
-  // allowed to under-approximate TD's (never over-approximate).
-  if (Opts.IncludeManifestOff)
-    for (auto [K, Theta] :
-         {std::pair<uint64_t, uint64_t>{2, 1}, {5, 2}}) {
-      SwiftRunConfig SC;
-      SC.K = K;
-      SC.Theta = Theta;
-      SC.ObservationManifest = false;
-      AddSwift(SC);
-    }
-
-  return Runs;
 }

@@ -52,7 +52,6 @@ struct TsError {
 /// contract: a run that ran out of budget reports the timeout, its time,
 /// steps and stats, and nothing else.
 struct TsRunResult : RunCounts {
-  std::vector<uint64_t> TdSummariesPerProc;
   std::set<SiteId> ErrorSites;          ///< Sites that may reach error.
   std::set<TsError> ErrorPoints;        ///< Where error tuples were seen.
   std::set<TsAbstractState> MainExit;   ///< States at main's exit.
@@ -178,32 +177,6 @@ struct GovernedRunOptions {
 /// uninterrupted run (the checkpoint-resume oracle enforces this).
 TsGovernedResult runTypestateGoverned(const TsContext &Ctx,
                                       const GovernedRunOptions &Opts);
-
-/// One named analysis run of the differential-testing config matrix.
-struct TsConfigRun {
-  std::string Name; ///< e.g. "td", "bu/t2", "swift/k1/th2/t4".
-  enum class Mode { Td, Bu, Swift } Kind;
-  SwiftRunConfig Swift;     ///< Swift runs only.
-  unsigned BuThreads = 1;   ///< Bu runs only.
-  TsRunResult Result;
-};
-
-/// Which slice of the config matrix runAllConfigs covers.
-struct AllConfigsOptions {
-  bool IncludeBu = true;    ///< Pure BU can blow up; callers may skip it.
-  bool IncludeManifestOff = true;
-  /// Thread counts exercised for BU and for a subset of SWIFT configs.
-  std::vector<unsigned> ThreadCounts = {1, 2, 4};
-};
-
-/// Runs the whole analysis-mode matrix on one program: TD (the ground
-/// truth of Theorem 3.1), pure BU at each thread count, and SWIFT at
-/// several (k, theta) x thread-count x manifest settings.
-/// The TD run is always first. This is the engine of the differential
-/// oracle (src/difftest) and of ad-hoc cross-checking in tools.
-std::vector<TsConfigRun> runAllConfigs(const TsContext &Ctx,
-                                       RunLimits Limits = {},
-                                       const AllConfigsOptions &Opts = {});
 
 } // namespace swift
 

@@ -5,7 +5,9 @@
 #    the failure is actionable without opening the manual;
 #  * every registered client domain actually runs in every mode through
 #    the real binary (exit 0 on a tiny corpus program);
-#  * --mode=bu without a client domain is rejected with the domain list.
+#  * --mode=bu without a client domain is rejected with the domain list;
+#  * client domains reject --mem-mb (no governor) and honor --failpoints,
+#    --trace-out and --metrics-out like the typestate domain.
 #
 # Usage: domain_errors.sh <swift-analyze> <swift-difftest> <corpus-dir>
 set -u
@@ -63,6 +65,29 @@ expect_grep "bu rejection lists the client domains" \
 check "client domain + checkpoint exits 2" 2 $?
 expect_grep "checkpoint rejection explains itself" \
   "checkpoint/resume supports only the typestate domain" "$work/out"
+
+# --- client domains run without a governor ------------------------------
+"$analyze" --domain=taint --mem-mb=1 "$prog" >"$work/out" 2>&1
+check "client domain + --mem-mb exits 2" 2 $?
+expect_grep "--mem-mb rejection explains itself" \
+  "mem-mb supports only the typestate domain" "$work/out"
+
+# --- failpoints, trace and metrics apply to client domains too ----------
+"$analyze" --domain=taint --failpoints=bogus "$prog" >"$work/out" 2>&1
+check "client domain + malformed --failpoints exits 2" 2 $?
+expect_grep "malformed --failpoints is reported" \
+  "malformed failpoint spec 'bogus'" "$work/out"
+"$analyze" --domain=taint --mode=swift --trace-out="$work/t.json" \
+  --metrics-out="$work/m.json" "$prog" >"$work/out" 2>&1
+check "client domain with --trace-out/--metrics-out runs" 0 $?
+for f in t.json m.json; do
+  if [ ! -s "$work/$f" ]; then
+    echo "FAIL: client domain did not write $f" >&2
+    fails=$((fails + 1))
+  fi
+done
+expect_grep "client metrics snapshot carries the run's counters" \
+  '"td.path_edges"' "$work/m.json"
 
 # --- every domain runs in every mode ------------------------------------
 for domain in taint nullderef reachdefs interval; do

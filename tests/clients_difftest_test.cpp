@@ -6,10 +6,9 @@
 ///
 /// \file
 /// The per-client oracle campaigns and the client reproducer corpus.
-/// Each registered domain runs a 40-seed fuzz campaign through the full
-/// config matrix (soundness against its concrete witness, TD coincidence
-/// for SWIFT at (k, theta) x threads {1,2,4}, BU agreement, thread
-/// determinism) expecting zero violations; the checked-in corpus under
+/// Each registered client domain runs a 40-seed fuzz campaign through the
+/// one oracle of difftest/Oracle.h (its table and checks are typestate's)
+/// expecting zero violations; the checked-in corpus under
 /// tests/corpus/clients/ must stay clean on the fixed analyses and must
 /// still trip the oracle when its recorded fault is re-injected.
 ///
@@ -19,7 +18,7 @@
 
 #include "clients/Registry.h"
 #include "clients/TestHooks.h"
-#include "difftest/DomainOracle.h"
+#include "difftest/Difftest.h"
 
 #include <gtest/gtest.h>
 
@@ -35,8 +34,8 @@ using namespace swift::difftest;
 
 namespace {
 
-DomainOracleOptions oracleOptions() {
-  DomainOracleOptions OO;
+OracleOptions oracleOptions() {
+  OracleOptions OO;
   OO.Limits.MaxSteps = 3'000'000;
   OO.Limits.MaxSeconds = 60.0;
   OO.Schedules = 4;
@@ -51,7 +50,7 @@ void runCampaignFor(const std::string &Domain) {
   Opts.ReduceViolations = false;
   std::ostringstream Log;
   CampaignResult R =
-      runCampaign(Opts, domainOracle(Domain, oracleOptions()), Log);
+      runCampaign(Opts, programOracle(Domain, oracleOptions()), Log);
   EXPECT_EQ(R.SeedsRun, 40u);
   EXPECT_EQ(R.ExhaustedSeeds, 0u) << Log.str();
   for (const SeedReport &S : R.BadSeeds)
@@ -116,7 +115,7 @@ TEST(ClientCorpus, CleanOnTheFixedAnalyses) {
     SCOPED_TRACE(E.Path);
     ASSERT_FALSE(E.Domain.empty()) << "missing '# domain:' header";
     OracleResult R =
-        replayFile(E.Path, domainOracle(E.Domain, oracleOptions()));
+        replayFile(E.Path, programOracle(E.Domain, oracleOptions()));
     EXPECT_GT(R.RunsDone, 0u);
     for (const Violation &V : R.Violations)
       ADD_FAILURE() << "[" << checkKindName(V.Kind) << "] " << V.Config
@@ -131,7 +130,7 @@ TEST(ClientCorpus, StillTripTheOracleUnderTheInjectedFault) {
     ASSERT_FALSE(E.Kind.empty()) << "missing '# violation:' header";
     ASSERT_TRUE(clients::test::injectDomainBug(E.Domain, true));
     OracleResult R =
-        replayFile(E.Path, domainOracle(E.Domain, oracleOptions()));
+        replayFile(E.Path, programOracle(E.Domain, oracleOptions()));
     clients::test::injectDomainBug(E.Domain, false);
     bool Found = false;
     for (const Violation &V : R.Violations)

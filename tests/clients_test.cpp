@@ -19,6 +19,7 @@
 
 #include "RecordedDigests.h"
 #include "clients/Registry.h"
+#include "clients/TestHooks.h"
 #include "clients/ifds/IfdsAnalysis.h"
 #include "clients/ifds/NullDerefProblem.h"
 #include "clients/ifds/ReachingDefsProblem.h"
@@ -37,8 +38,10 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <fstream>
 #include <memory>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -137,6 +140,54 @@ TEST(ClientRegistry, UnknownDomainThrows) {
   ASSERT_NE(Prog, nullptr);
   EXPECT_THROW(runClientDomain("bogus", *Prog, DomainMode::Td, 1, 1, 1),
                std::runtime_error);
+}
+
+/// The typestate adapter is the runner's result, normalized: error sites
+/// become their allocations' points (Program::site), error points report
+/// points, and main-exit states their rendered text. The corpus programs
+/// report errors only under the fault they were reduced for, so each
+/// runs with the fault off and on.
+TEST(ClientRegistry, TypestateAdapterMatchesTheRunner) {
+  size_t Reported = 0;
+  for (bool Fault : {false, true})
+    for (const char *Name : {"seed15", "seed16", "seed18"}) {
+      SCOPED_TRACE(std::string(Name) + (Fault ? " with the fault" : ""));
+      std::ifstream IS(std::string(SWIFT_CORPUS_DIR) + "/" + Name +
+                       ".swiftir");
+      std::stringstream Buf;
+      Buf << IS.rdbuf();
+      std::unique_ptr<Program> Prog = parseProgramText(Buf.str());
+      TsContext Ctx(*Prog, Prog->spec(0).name());
+      auto At = [&Prog](SiteId S) {
+        return Point{Prog->site(S).Proc, Prog->site(S).Node};
+      };
+      clients::test::injectDomainBug("typestate", Fault);
+      const std::pair<DomainMode, TsRunResult> Runs[] = {
+          {DomainMode::Td, runTypestateTd(Ctx)},
+          {DomainMode::Swift, runTypestateSwift(Ctx, 1, 2)},
+          {DomainMode::Bu, runTypestateBu(Ctx)}};
+      for (const auto &[Mode, Ts] : Runs) {
+        DomainRunResult R = runClientDomain("typestate", *Prog, Mode, 1, 2, 1);
+        std::set<Point> Sites;
+        for (SiteId S : Ts.ErrorSites)
+          Sites.insert(At(S));
+        std::set<std::pair<Point, Point>> Points;
+        for (const TsError &E : Ts.ErrorPoints)
+          Points.insert({At(E.Site), {E.Proc, E.Node}});
+        std::set<std::string> Exit;
+        for (const TsAbstractState &St : Ts.MainExit)
+          Exit.insert(St.str(*Prog));
+        EXPECT_EQ(R.Reports, Sites);
+        EXPECT_EQ(R.ReportPoints, Points);
+        EXPECT_EQ(R.ExitFacts, Exit);
+        EXPECT_FALSE(R.ExitFacts.empty());
+        EXPECT_EQ(R.TdSummariesPerProc, Ts.TdSummariesPerProc);
+        EXPECT_EQ(R.BuRelations, Ts.BuRelations);
+        Reported += R.Reports.size();
+      }
+      clients::test::injectDomainBug("typestate", false);
+    }
+  EXPECT_GT(Reported, 0u); // Not vacuous.
 }
 
 //===----------------------------------------------------------------------===//

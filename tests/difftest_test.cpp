@@ -52,7 +52,8 @@ TEST(DifftestOracleTest, CleanOnFuzzSeeds) {
   for (uint64_t Seed = 1; Seed <= 10; ++Seed) {
     std::unique_ptr<Program> Prog =
         generateFuzzProgram(fuzzConfigForSeed(Seed));
-    OracleResult R = runOracle(*Prog, deterministicOptions(Seed * 1013 + 1));
+    OracleResult R = runOracle("typestate", *Prog,
+                               deterministicOptions(Seed * 1013 + 1));
     EXPECT_GT(R.RunsDone, 0u);
     for (const Violation &V : R.Violations)
       ADD_FAILURE() << "seed " << Seed << ": [" << checkKindName(V.Kind)
@@ -67,7 +68,8 @@ TEST(DifftestOracleTest, RequiresATypestateSpec) {
       "  1: nop ->\n"
       "}\n"
       "main main\n");
-  EXPECT_THROW((void)runOracle(*Prog, OracleOptions{}), std::runtime_error);
+  EXPECT_THROW((void)runOracle("typestate", *Prog, OracleOptions{}),
+               std::runtime_error);
 }
 
 TEST(DifftestOracleTest, InjectedBugIsDetected) {
@@ -78,7 +80,7 @@ TEST(DifftestOracleTest, InjectedBugIsDetected) {
   std::unique_ptr<Program> Prog = generateFuzzProgram(fuzzConfigForSeed(15));
   OracleOptions OO = deterministicOptions(15 * 1013 + 1);
   OO.Limits.MaxSteps = 3'000'000;
-  OracleResult R = runOracle(*Prog, OO);
+  OracleResult R = runOracle("typestate", *Prog, OO);
   ASSERT_FALSE(R.clean());
   EXPECT_EQ(R.Violations.front().Kind, CheckKind::BuAgreement);
 }
@@ -89,8 +91,9 @@ TEST(DifftestReducerTest, ShrinksInjectedBugToTinyReproducer) {
 
   OracleOptions OO = deterministicOptions(15 * 1013 + 1);
   OO.Limits.MaxSteps = 3'000'000;
-  ReduceResult RR = reduceViolation(*Prog, CheckKind::BuAgreement,
-                                    typestateOracle(OO), OO.InterpSeed);
+  ReduceResult RR =
+      reduceViolation(*Prog, CheckKind::BuAgreement,
+                      programOracle("typestate", OO), OO.InterpSeed);
 
   // The acceptance bar from the issue: <= 3 procedures, <= 15 statements.
   EXPECT_LE(RR.NumProcs, 3u);
@@ -101,7 +104,7 @@ TEST(DifftestReducerTest, ShrinksInjectedBugToTinyReproducer) {
   // The reduced text is a well-formed program that still exhibits a
   // violation of the same kind...
   std::unique_ptr<Program> Re = parseProgramText(RR.Text);
-  OracleResult Replayed = runOracle(*Re, OO);
+  OracleResult Replayed = runOracle("typestate", *Re, OO);
   bool SameKind = false;
   for (const Violation &V : Replayed.Violations)
     SameKind |= V.Kind == CheckKind::BuAgreement;
@@ -110,7 +113,7 @@ TEST(DifftestReducerTest, ShrinksInjectedBugToTinyReproducer) {
   // ...and is clean once the fault is gone, i.e. the reducer minimized the
   // bug, not some unrelated oracle artifact.
   test::InjectTsCallWeakUpdateBug.store(false);
-  EXPECT_TRUE(runOracle(*Re, OO).clean());
+  EXPECT_TRUE(runOracle("typestate", *Re, OO).clean());
 }
 
 TEST(DifftestReducerTest, NonReproducingInputIsReturnedUnreduced) {
@@ -118,8 +121,9 @@ TEST(DifftestReducerTest, NonReproducingInputIsReturnedUnreduced) {
   // initial interestingness test fails and the input comes back whole.
   std::unique_ptr<Program> Prog = generateFuzzProgram(fuzzConfigForSeed(15));
   OracleOptions OO = deterministicOptions(15 * 1013 + 1);
-  ReduceResult RR = reduceViolation(*Prog, CheckKind::BuAgreement,
-                                    typestateOracle(OO), OO.InterpSeed);
+  ReduceResult RR =
+      reduceViolation(*Prog, CheckKind::BuAgreement,
+                      programOracle("typestate", OO), OO.InterpSeed);
   EXPECT_EQ(RR.NumProcs, Prog->numProcs());
   EXPECT_EQ(RR.OracleRuns, 1u);
   EXPECT_EQ(RR.Text, programToText(*Prog));
@@ -131,7 +135,8 @@ TEST(DifftestCampaignTest, WriteAndReplayReproducer) {
   std::filesystem::remove_all(Dir);
 
   std::unique_ptr<Program> Prog = generateFuzzProgram(fuzzConfigForSeed(3));
-  Violation V{CheckKind::TdCoincidence, "swift/k1/th1", "unit-test detail"};
+  Violation V{CheckKind::TdCoincidence, "typestate/swift/k1/th1",
+              "unit-test detail"};
   std::string Path =
       writeReproducer(Dir.string(), 3, V, programToText(*Prog));
   ASSERT_FALSE(Path.empty());
@@ -139,13 +144,15 @@ TEST(DifftestCampaignTest, WriteAndReplayReproducer) {
 
   // The header comments are skipped by the parser; the replay runs the
   // oracle on exactly the embedded program.
-  OracleResult R = replayFile(Path, typestateOracle(deterministicOptions(1)));
+  OracleResult R =
+      replayFile(Path, programOracle("typestate", deterministicOptions(1)));
   EXPECT_TRUE(R.clean());
   EXPECT_GT(R.RunsDone, 0u);
 
-  EXPECT_THROW((void)replayFile((Dir / "missing.swiftir").string(),
-                                typestateOracle(deterministicOptions(1))),
-               std::runtime_error);
+  EXPECT_THROW(
+      (void)replayFile((Dir / "missing.swiftir").string(),
+                       programOracle("typestate", deterministicOptions(1))),
+      std::runtime_error);
   std::filesystem::remove_all(Dir);
 }
 
@@ -157,7 +164,7 @@ TEST(DifftestCampaignTest, CleanCampaignReportsNoBadSeeds) {
   std::ostringstream Log;
   // InterpSeed is re-derived per seed.
   CampaignResult R =
-      runCampaign(CO, typestateOracle(deterministicOptions(1)), Log);
+      runCampaign(CO, programOracle("typestate", deterministicOptions(1)), Log);
   EXPECT_EQ(R.SeedsRun, 2u);
   EXPECT_TRUE(R.clean());
   EXPECT_FALSE(R.StoppedOnBudget);

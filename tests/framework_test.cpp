@@ -174,6 +174,28 @@ TEST(FrameworkTest, BudgetExhaustionIsReportedNotFatal) {
   EXPECT_LE(R.Steps, 12u);
 }
 
+/// Call composition polls the wall clock once per input relation. One
+/// call node can compose tens of thousands of input relations with a
+/// large callee summary for as many budget steps, and step() reads the
+/// clock only every 4096 steps, so without the poll such a node ran far
+/// past its wall limit. Here the limit has passed before the solve
+/// starts and the whole solve takes fewer than 4096 steps: only the poll
+/// can stop it.
+TEST(FrameworkTest, CallCompositionPollsTheWallClock) {
+  std::unique_ptr<Program> Prog = parseProgram(R"(
+    typestate File { start c; error e; c -open-> o; o -close-> c; }
+    proc use(x) { x.open(); x.close(); }
+    proc main() { a = new File; use(a); }
+  )");
+  TsContext Ctx(*Prog, Prog->symbols().intern("File"));
+  TsRunResult Unlimited = runTypestateBu(Ctx);
+  ASSERT_FALSE(Unlimited.Timeout);
+  ASSERT_LT(Unlimited.Steps, 4096u);
+  RunLimits Spent;
+  Spent.MaxSeconds = 0;
+  EXPECT_TRUE(runTypestateBu(Ctx, Spent).Timeout);
+}
+
 /// A pathological recursive SCC whose pruned summaries would keep
 /// refining: degradation must kick in, and the result must still be
 /// coincident with TD.

@@ -96,6 +96,16 @@ TEST(BudgetTest, StepBudgetExhausts) {
   EXPECT_EQ(B.steps(), 11u);
 }
 
+TEST(BudgetTest, PollChargesNoStepAndReadsTheClock) {
+  Budget Open(10, 1e9);
+  EXPECT_TRUE(Open.poll());
+  EXPECT_EQ(Open.steps(), 0u);
+  Budget Spent(10, 0.0); // The wall limit has passed; no step was taken.
+  EXPECT_FALSE(Spent.poll());
+  EXPECT_TRUE(Spent.exhausted());
+  EXPECT_EQ(Spent.steps(), 0u);
+}
+
 TEST(BudgetTest, DefaultIsUnlimitedEnough) {
   Budget B;
   for (int I = 0; I != 100000; ++I)

@@ -11,10 +11,11 @@ Checks (CI runs this as the docs-check job; see .github/workflows/ci.yml):
     that looks repo-relative (starts with src/, docs/, tests/, tools/,
     bench/, or examples/) exists — the paper-to-file pointer table is
     the main consumer;
-  * with --analyze=PATH: no drift between `swift-analyze --help` and
-    MANUAL.md — every flag the binary documents is mentioned in the
-    manual, and the analysis-domain names in the help text agree with
-    the ones documented in MANUAL.md section 14.
+  * with --analyze=PATH: no drift between `--help` and MANUAL.md, for
+    that swift-analyze and for the swift-difftest beside it — every
+    flag a binary documents is mentioned in the manual, and the
+    analysis-domain names each accepts agree with the ones documented
+    in MANUAL.md section 14.
 
 Exit 0 with a one-line summary on success, exit 1 listing every
 violation found.
@@ -122,39 +123,42 @@ def check_code_paths(doc):
                 error(doc, f"referenced path '{c}' does not exist")
 
 
-def check_flag_drift(analyze):
+def check_flag_drift(binary):
+    name = os.path.basename(binary)
+    if not os.path.exists(binary):
+        error(name, f"binary '{binary}' not found")
+        return
     manual = open(os.path.join(REPO, "docs/MANUAL.md"),
                   encoding="utf-8").read()
-    proc = subprocess.run([analyze, "--help"], capture_output=True,
+    proc = subprocess.run([binary, "--help"], capture_output=True,
                           text=True)
     help_text = proc.stdout + proc.stderr
-    if "usage: swift-analyze" not in help_text:
-        error("swift-analyze", "--help did not print the usage text")
+    if f"usage: {name}" not in help_text:
+        error(name, "--help did not print the usage text")
         return
     flags = set(HELP_FLAG_RE.findall(help_text))
     if not flags:
-        error("swift-analyze", "no flags parsed from --help output")
+        error(name, "no flags parsed from --help output")
     for flag in sorted(flags - {"--help"}):
         if flag + "=" not in manual and flag not in manual:
             error("docs/MANUAL.md",
-                  f"flag {flag} from swift-analyze --help is undocumented")
+                  f"flag {flag} from {name} --help is undocumented")
     # The registered analysis domains must agree with the MANUAL.md
     # section 14 catalog table (rows like "| `taint` | ..."). The
     # binary's own rejection message is the runtime source of truth:
     # "invalid --domain value '...' (valid values: a, b, c)".
-    probe = subprocess.run([analyze, "--domain=__docs_probe__"],
+    probe = subprocess.run([binary, "--domain=__docs_probe__"],
                            capture_output=True, text=True)
     m = re.search(r"valid values: ([a-z, ]+)\)", probe.stdout + probe.stderr)
     if not m:
-        error("swift-analyze",
-              "--domain rejection does not list the valid values")
+        error(name, "--domain rejection does not list the valid values")
         return
     binary_domains = set(d.strip() for d in m.group(1).split(","))
     manual_domains = set(re.findall(r"^\| `([a-z]+)`(?: \(default\))? \|",
                                     manual, re.MULTILINE))
     if binary_domains != manual_domains:
         error("docs/MANUAL.md",
-              f"domain drift: the binary registers "
+              f"domain drift: {name} registers "
               f"{sorted(binary_domains)}, MANUAL.md section 14 table "
               f"documents {sorted(manual_domains)}")
 
@@ -175,6 +179,8 @@ def main():
         check_code_paths(doc)
     if analyze:
         check_flag_drift(analyze)
+        check_flag_drift(os.path.join(os.path.dirname(analyze),
+                                      "swift-difftest"))
     if errors:
         for e in errors:
             print(f"check_docs: {e}", file=sys.stderr)

@@ -104,7 +104,7 @@ const char *usageText() {
          "  --steps=N           step budget (default unlimited)\n"
          "  --seconds=S         wall-clock budget (default unlimited)\n"
          "  --mem-mb=N          memory-estimate cap in MiB (default\n"
-         "                      unlimited)\n"
+         "                      unlimited; typestate only)\n"
          "  --checkpoint-out=F  write a checkpoint to F if the budget is\n"
          "                      exhausted\n"
          "  --resume-from=F     resume from checkpoint F (the program and\n"
@@ -229,11 +229,44 @@ bool parseArgs(int Argc, char **Argv, ToolOptions &O, std::string &Err) {
     Err = "checkpoint/resume supports only the typestate domain";
     return false;
   }
+  if (O.Domain != "typestate" && O.MemMb != UINT64_MAX) {
+    Err = "--mem-mb supports only the typestate domain (client domains "
+          "run without a governor)";
+    return false;
+  }
   return true;
 }
 
+/// Flushes the trace and the metrics snapshot (with \p Stat, the run's
+/// counters) when asked for. Advisory: a trace/metrics I/O failure warns
+/// on stderr but never changes the analysis exit code.
+void flushObservability(const ToolOptions &O, const Stats &Stat) {
+  if (!O.TraceOut.empty()) {
+    obs::TraceRecorder::instance().stop();
+    std::string FlushErr;
+    if (!obs::TraceRecorder::instance().flushToFile(O.TraceOut, &FlushErr))
+      std::fprintf(stderr, "swift-analyze: warning: trace write failed: "
+                           "%s\n",
+                   FlushErr.c_str());
+    else
+      std::printf("trace written to %s (load at ui.perfetto.dev)\n",
+                  O.TraceOut.c_str());
+  }
+  if (!O.MetricsOut.empty()) {
+    std::string FlushErr;
+    if (!obs::MetricsRegistry::instance().writeSnapshot(O.MetricsOut, &Stat,
+                                                        &FlushErr))
+      std::fprintf(stderr, "swift-analyze: warning: metrics write "
+                           "failed: %s\n",
+                   FlushErr.c_str());
+    else
+      std::printf("metrics written to %s\n", O.MetricsOut.c_str());
+  }
+}
+
 /// The client-domain path: parse, run the registry, print normalized
-/// results. No governor, checkpointing, or typestate spec involved.
+/// results. No governor, checkpointing, or typestate spec involved;
+/// failpoints, trace and metrics apply as on the typestate path.
 int runClientDomainTool(const ToolOptions &O) {
   std::unique_ptr<Program> Prog;
   try {
@@ -275,6 +308,7 @@ int runClientDomainTool(const ToolOptions &O) {
   std::printf("summaries: %llu td, %llu bu relation(s)\n",
               static_cast<unsigned long long>(R.TdSummaries),
               static_cast<unsigned long long>(R.BuRelations));
+  flushObservability(O, R.Stat);
   return R.Timeout ? 3 : 0;
 }
 
@@ -294,9 +328,6 @@ int main(int Argc, char **Argv) {
     return 0;
   }
 
-  if (O.Domain != "typestate")
-    return runClientDomainTool(O);
-
   try {
     failpoint::armFromEnv();
     if (!O.FailPoints.empty())
@@ -310,6 +341,9 @@ int main(int Argc, char **Argv) {
     obs::TraceRecorder::instance().start();
   if (!O.MetricsOut.empty())
     obs::MetricsRegistry::instance().enable();
+
+  if (O.Domain != "typestate")
+    return runClientDomainTool(O);
 
   std::unique_ptr<Program> Prog;
   GovernedRunOptions GO;
@@ -455,29 +489,6 @@ int main(int Argc, char **Argv) {
     }
   }
 
-  // Observability flushes come last and are advisory: a trace/metrics
-  // I/O failure warns on stderr but never changes the analysis exit code.
-  if (!O.TraceOut.empty()) {
-    obs::TraceRecorder::instance().stop();
-    std::string FlushErr;
-    if (!obs::TraceRecorder::instance().flushToFile(O.TraceOut, &FlushErr))
-      std::fprintf(stderr, "swift-analyze: warning: trace write failed: "
-                           "%s\n",
-                   FlushErr.c_str());
-    else
-      std::printf("trace written to %s (load at ui.perfetto.dev)\n",
-                  O.TraceOut.c_str());
-  }
-  if (!O.MetricsOut.empty()) {
-    std::string FlushErr;
-    if (!obs::MetricsRegistry::instance().writeSnapshot(
-            O.MetricsOut, &G.Run.Stat, &FlushErr))
-      std::fprintf(stderr, "swift-analyze: warning: metrics write "
-                           "failed: %s\n",
-                   FlushErr.c_str());
-    else
-      std::printf("metrics written to %s\n", O.MetricsOut.c_str());
-  }
-
+  flushObservability(O, G.Run.Stat); // Last, and advisory.
   return G.Partial ? 3 : 0;
 }

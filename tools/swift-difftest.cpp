@@ -5,12 +5,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// swift-difftest — differential-testing driver. Fuzzes programs, runs the
-/// concrete interpreter as ground truth plus the whole analysis-mode
-/// matrix (TD / pure BU / SWIFT at several (k, theta), thread counts,
-/// manifest on/off), checks soundness and the paper's coincidence
-/// guarantees, and on a mismatch delta-debugs the program to a small
-/// reproducer.
+/// swift-difftest — differential-testing driver. Fuzzes programs, runs
+/// the domain's concrete witness as ground truth plus the oracle's table
+/// of analysis modes (TD / pure BU / SWIFT at several (k, theta), thread
+/// counts, manifest on/off; difftest/Oracle.h), checks soundness and the
+/// paper's coincidence guarantees, and on a mismatch delta-debugs the
+/// program to a small reproducer.
 ///
 /// Exit code: 0 all seeds clean, 1 violations found, 2 usage error,
 /// 3 clean but resource-exhausted (some reference runs hit their budget,
@@ -21,13 +21,12 @@
 //===----------------------------------------------------------------------===//
 
 #include "clients/TestHooks.h"
+#include "clients/Registry.h"
 #include "difftest/Difftest.h"
-#include "difftest/DomainOracle.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
 #include "support/CliParse.h"
 #include "support/FailPoint.h"
-#include "typestate/Transfer.h"
 
 #include <cstdio>
 #include <iostream>
@@ -65,10 +64,9 @@ std::string domainValueList() {
 
 const char *usageText() {
   return "usage: swift-difftest [options]\n"
-         "  --domain=NAME    oracle to run: typestate (default, the full\n"
-         "                   matrix of docs/MANUAL.md section 7) or a\n"
+         "  --domain=NAME    domain under test: typestate (default) or a\n"
          "                   client domain — taint, nullderef, reachdefs,\n"
-         "                   interval (section 14)\n"
+         "                   interval (docs/MANUAL.md sections 6 and 14)\n"
          "  --seeds=N        fuzz seeds to test (default 50)\n"
          "  --first-seed=N   first seed (default 1)\n"
          "  --schedules=N    concrete schedules per seed (default 8)\n"
@@ -79,7 +77,7 @@ const char *usageText() {
          "                   empty disables writing)\n"
          "  --replay=FILE    replay one swift-ir reproducer instead of\n"
          "                   fuzzing\n"
-         "  --inject-bug     enable the test-only transfer-function fault\n"
+         "  --inject-bug     enable the domain's test-only transfer fault\n"
          "                   (proves the oracle catches divergences)\n"
          "  --no-reduce      skip delta-debugging of violations\n"
          "  --trace-out=F    write a Chrome/Perfetto trace of the whole\n"
@@ -164,23 +162,16 @@ bool parseArgs(int Argc, char **Argv, ToolOptions &O, std::string &Err) {
   return true;
 }
 
-/// The oracle --domain selects, with the per-run budgets and schedule
-/// count of the flags.
+/// The oracle of --domain, with the per-run budgets and schedule count of
+/// the flags.
 ProgramOracle oracleFor(const ToolOptions &O) {
-  if (O.Domain == "typestate") {
-    OracleOptions OO;
-    OO.Limits = {O.Steps, O.RunSeconds};
-    OO.Schedules = O.Schedules;
-    return typestateOracle(OO);
-  }
-  DomainOracleOptions OO;
+  OracleOptions OO;
   OO.Limits = {O.Steps, O.RunSeconds};
   OO.Schedules = O.Schedules;
-  return domainOracle(O.Domain, OO);
+  return programOracle(O.Domain, OO);
 }
 
 int replay(const ToolOptions &O) {
-  bool Typestate = O.Domain == "typestate";
   OracleResult R;
   try {
     R = replayFile(O.ReplayPath, oracleFor(O));
@@ -188,20 +179,18 @@ int replay(const ToolOptions &O) {
     std::fprintf(stderr, "swift-difftest: %s\n", E.what());
     return 2;
   }
-  std::printf("replayed %s%s%s: %u run(s), %u timed out, %zu "
+  std::printf("replayed %s under %s: %u run(s), %u timed out, %zu "
               "violation(s)\n",
-              O.ReplayPath.c_str(), Typestate ? "" : " under ",
-              Typestate ? "" : O.Domain.c_str(), R.RunsDone, R.RunsTimedOut,
-              R.Violations.size());
+              O.ReplayPath.c_str(), O.Domain.c_str(), R.RunsDone,
+              R.RunsTimedOut, R.Violations.size());
   for (const Violation &V : R.Violations)
     std::printf("  [%s] %s: %s\n", checkKindName(V.Kind), V.Config.c_str(),
                 V.Detail.c_str());
   if (!R.clean())
     return 1;
   if (R.ReferenceTimedOut) {
-    std::printf("note: the td reference run exhausted its budget; %s\n",
-                Typestate ? "reference-dependent checks were skipped"
-                          : "every check was skipped");
+    std::printf("note: the td reference run exhausted its budget; "
+                "reference-dependent checks were skipped\n");
     return 3;
   }
   return 0;
@@ -216,10 +205,9 @@ int campaign(const ToolOptions &O) {
   CO.BudgetSeconds = O.BudgetSeconds;
 
   CampaignResult R = runCampaign(CO, oracleFor(O), std::cout);
-  std::string Prefix = O.Domain == "typestate" ? "" : "[" + O.Domain + "] ";
-  std::printf("%s%llu seed(s) tested, %zu with violations, %llu "
+  std::printf("[%s] %llu seed(s) tested, %zu with violations, %llu "
               "resource-exhausted%s\n",
-              Prefix.c_str(), static_cast<unsigned long long>(R.SeedsRun),
+              O.Domain.c_str(), static_cast<unsigned long long>(R.SeedsRun),
               R.BadSeeds.size(),
               static_cast<unsigned long long>(R.ExhaustedSeeds),
               R.StoppedOnBudget ? " (stopped on --budget)" : "");
@@ -242,12 +230,8 @@ int main(int Argc, char **Argv) {
     std::fputs(usageText(), stdout);
     return 0;
   }
-  if (O.InjectBug) {
-    if (O.Domain == "typestate")
-      test::InjectTsCallWeakUpdateBug.store(true);
-    else
-      clients::test::injectDomainBug(O.Domain, true);
-  }
+  if (O.InjectBug)
+    clients::test::injectDomainBug(O.Domain, true);
   try {
     failpoint::armFromEnv();
   } catch (const std::exception &E) {
