@@ -8,7 +8,6 @@
 
 #include "clients/Registry.h"
 #include "clients/interval/IntervalDomain.h"
-#include "concrete/Interpreter.h"
 #include "support/Rng.h"
 
 #include <stdexcept>
@@ -19,173 +18,6 @@ using namespace swift;
 using namespace swift::clients;
 
 namespace {
-
-//===----------------------------------------------------------------------===//
-// Reference machine: taint, null-deref, reaching-defs
-//===----------------------------------------------------------------------===//
-
-/// A reference value: an object index, or null with an explicit-assignment
-/// provenance bit (x = null and values copied from it).
-struct RefVal {
-  int Obj = -1; ///< Index into the object store; -1 is null.
-  bool NullProv = false;
-};
-
-struct RefObj {
-  bool Tainted = false;
-  std::unordered_map<Symbol, RefVal> Fields;
-};
-
-class RefMachine {
-public:
-  RefMachine(const Program &Prog, const WitnessConfig &Cfg,
-             const std::set<Symbol> &Sources, const std::set<Symbol> &Sinks)
-      : Prog(Prog), Cfg(Cfg), Sources(Sources), Sinks(Sinks), R(Cfg.Seed) {}
-
-  void run() {
-    MainDefs = runProc(Prog.mainProc(), {}, 0).second;
-    Completed = !Dead;
-    ReachedExit = !Dead && !Halted;
-  }
-
-  const Program &Prog;
-  const WitnessConfig &Cfg;
-  const std::set<Symbol> &Sources;
-  const std::set<Symbol> &Sinks;
-  Rng R;
-
-  std::set<std::pair<ProcId, NodeId>> TaintEvents;
-  std::set<std::pair<ProcId, NodeId>> DerefEvents;
-  /// Store sites that executed successfully (non-null base), per run.
-  std::set<std::pair<ProcId, NodeId>> StoreSites;
-  /// Latest direct-def site per variable of main's frame.
-  std::unordered_map<Symbol, NodeId> MainDefs;
-  uint64_t Steps = 0;
-  bool Completed = false;
-  bool ReachedExit = false;
-
-private:
-  using Env = std::unordered_map<Symbol, RefVal>;
-  using Defs = std::unordered_map<Symbol, NodeId>;
-
-  static RefVal lookup(const Env &E, Symbol V) {
-    auto It = E.find(V);
-    return It == E.end() ? RefVal{} : It->second;
-  }
-
-  /// A dereference of null: record a deref event when the null was
-  /// explicitly assigned, then halt the run (Java-NPE semantics, exactly
-  /// like concrete/Interpreter.cpp).
-  void derefNull(ProcId P, NodeId N, const RefVal &V) {
-    if (V.NullProv)
-      DerefEvents.insert({P, N});
-    Halted = true;
-  }
-
-  /// Executes \p P; returns ($ret value, final frame def sites).
-  std::pair<RefVal, Defs> runProc(ProcId P, const std::vector<RefVal> &Args,
-                                  unsigned Depth) {
-    Env E;
-    Defs D;
-    if (Depth > Cfg.MaxDepth) {
-      Dead = true;
-      return {RefVal{}, D};
-    }
-    const Procedure &Proc = Prog.proc(P);
-    for (size_t I = 0; I != Proc.params().size(); ++I)
-      E[Proc.params()[I]] = I < Args.size() ? Args[I] : RefVal{};
-
-    NodeId Cur = Proc.entry();
-    while (!Dead && !Halted && Cur != Proc.exit()) {
-      if (++Steps > Cfg.MaxSteps) {
-        Dead = true;
-        break;
-      }
-      const CfgNode &Node = Proc.node(Cur);
-      exec(P, Node.Cmd, E, D, Depth);
-      if (Node.Succs.empty())
-        break;
-      if (Node.Succs.size() == 1)
-        Cur = Node.Succs[0];
-      else if (Node.Succs.size() == 2)
-        Cur = Node.Succs[R.below(1000) < Cfg.LoopContinuePerMille ? 0 : 1];
-      else
-        Cur = Node.Succs[R.below(Node.Succs.size())];
-    }
-    return {lookup(E, Prog.retVar()), std::move(D)};
-  }
-
-  void exec(ProcId P, const Command &C, Env &E, Defs &D, unsigned Depth) {
-    switch (C.Kind) {
-    case CmdKind::Nop:
-      return;
-
-    case CmdKind::Alloc: {
-      int O = static_cast<int>(Objects.size());
-      Objects.push_back(RefObj{Sources.count(C.Class) != 0, {}});
-      E[C.Dst] = RefVal{O, false};
-      D[C.Dst] = C.Self;
-      return;
-    }
-
-    case CmdKind::Copy:
-      E[C.Dst] = lookup(E, C.Src);
-      D[C.Dst] = C.Self;
-      return;
-
-    case CmdKind::AssignNull:
-      E[C.Dst] = RefVal{-1, true};
-      D[C.Dst] = C.Self;
-      return;
-
-    case CmdKind::Load: {
-      RefVal Base = lookup(E, C.Src);
-      if (Base.Obj < 0)
-        return derefNull(P, C.Self, Base);
-      auto It = Objects[Base.Obj].Fields.find(C.Field);
-      E[C.Dst] =
-          It == Objects[Base.Obj].Fields.end() ? RefVal{} : It->second;
-      D[C.Dst] = C.Self;
-      return;
-    }
-
-    case CmdKind::Store: {
-      RefVal Base = lookup(E, C.Dst);
-      if (Base.Obj < 0)
-        return derefNull(P, C.Self, Base);
-      Objects[Base.Obj].Fields[C.Field] = lookup(E, C.Src);
-      StoreSites.insert({P, C.Self});
-      return;
-    }
-
-    case CmdKind::TsCall: {
-      RefVal Recv = lookup(E, C.Src);
-      if (Recv.Obj < 0)
-        return derefNull(P, C.Self, Recv);
-      if (Sinks.count(C.Method) && Objects[Recv.Obj].Tainted)
-        TaintEvents.insert({P, C.Self});
-      return;
-    }
-
-    case CmdKind::Call: {
-      std::vector<RefVal> Args;
-      Args.reserve(C.Args.size());
-      for (Symbol A : C.Args)
-        Args.push_back(lookup(E, A));
-      RefVal Ret = runProc(C.Callee, Args, Depth + 1).first;
-      if (C.Dst.isValid()) {
-        E[C.Dst] = Ret;
-        D.erase(C.Dst); // A call untracks its result's direct defs.
-      }
-      return;
-    }
-    }
-  }
-
-  std::vector<RefObj> Objects;
-  bool Dead = false;
-  bool Halted = false;
-};
 
 //===----------------------------------------------------------------------===//
 // Counter machine: interval
@@ -199,7 +31,7 @@ struct IntVal {
 
 class IntMachine {
 public:
-  IntMachine(const Program &Prog, const WitnessConfig &Cfg)
+  IntMachine(const Program &Prog, const InterpConfig &Cfg)
       : Prog(Prog), Cfg(Cfg), R(Cfg.Seed) {
     // Same method classification as IvContext: by name text.
     const SymbolTable &Syms = Prog.symbols();
@@ -218,19 +50,16 @@ public:
   void run() {
     MainEnv = runProc(Prog.mainProc(), {}, 0).second;
     Completed = !Dead;
-    ReachedExit = Completed; // The counter machine never halts early.
   }
 
   const Program &Prog;
-  const WitnessConfig &Cfg;
+  const InterpConfig &Cfg;
   Rng R;
 
   std::set<std::pair<ProcId, NodeId>> UnderEvents;
   std::unordered_map<Symbol, IntVal> MainEnv;    ///< Main's final frame.
   std::unordered_map<Symbol, IntVal> FieldStore; ///< Global, by field.
-  uint64_t Steps = 0;
   bool Completed = false;
-  bool ReachedExit = false;
 
 private:
   using Env = std::unordered_map<Symbol, IntVal>;
@@ -332,6 +161,7 @@ private:
   }
 
   std::unordered_map<Symbol, interval::MethodOp> Ops;
+  uint64_t Steps = 0;
   bool Dead = false;
 };
 
@@ -346,30 +176,16 @@ std::string defFactText(const Program &Prog, Symbol Var, bool IsField,
 
 WitnessResult clients::runClientWitness(const std::string &Domain,
                                         const Program &Prog,
-                                        const WitnessConfig &Cfg) {
+                                        const InterpConfig &Cfg) {
   WitnessResult W;
-
-  if (Domain == "typestate") {
-    InterpConfig IC;
-    IC.Seed = Cfg.Seed;
-    IC.MaxSteps = Cfg.MaxSteps;
-    IC.MaxDepth = Cfg.MaxDepth;
-    IC.LoopContinuePerMille = Cfg.LoopContinuePerMille;
-    InterpResult IR = interpret(Prog, IC);
-    for (SiteId S : IR.ErrorSites)
-      W.Events.insert({Prog.site(S).Proc, Prog.site(S).Node});
-    W.Completed = IR.Completed;
-    W.Steps = IR.Steps;
-    return W;
-  }
 
   if (Domain == "interval") {
     IntMachine M(Prog, Cfg);
     M.run();
     W.Events = std::move(M.UnderEvents);
     W.Completed = M.Completed;
-    W.Steps = M.Steps;
-    W.ExitFactsValid = M.ReachedExit;
+    // The counter machine never halts early.
+    W.ReachedExit = W.ExitFactsValid = M.Completed;
     if (W.ExitFactsValid) {
       for (const auto &[V, Val] : M.MainEnv)
         if (!Val.Null)
@@ -387,27 +203,34 @@ WitnessResult clients::runClientWitness(const std::string &Domain,
     return W;
   }
 
-  if (Domain != "taint" && Domain != "nullderef" && Domain != "reachdefs")
+  if (Domain != "typestate" && Domain != "taint" && Domain != "nullderef" &&
+      Domain != "reachdefs")
     throw std::runtime_error("unknown witness domain '" + Domain + "'");
 
-  std::set<Symbol> Sources = taintSourceClasses(Prog);
-  std::set<Symbol> Sinks = taintSinkMethods(Prog);
-  RefMachine M(Prog, Cfg, Sources, Sinks);
-  M.run();
-  W.Completed = M.Completed;
-  W.Steps = M.Steps;
+  InterpResult IR = interpret(Prog, Cfg);
+  W.Completed = IR.Completed;
+  W.ReachedExit = IR.ReachedMainExit;
 
-  if (Domain == "taint") {
-    W.Events = std::move(M.TaintEvents);
+  if (Domain == "typestate") {
+    for (SiteId S : IR.ErrorSites)
+      W.Events.insert({Prog.site(S).Proc, Prog.site(S).Node});
+  } else if (Domain == "taint") {
+    std::set<Symbol> Sources = taintSourceClasses(Prog);
+    std::set<Symbol> Sinks = taintSinkMethods(Prog);
+    for (const auto &[P, N, Recv] : IR.Calls)
+      if (Sinks.count(Prog.proc(P).node(N).Cmd.Method) &&
+          Sources.count(Prog.site(Recv).Class))
+        W.Events.insert({P, N});
   } else if (Domain == "nullderef") {
-    W.Events = std::move(M.DerefEvents);
+    if (IR.NullDeref)
+      W.Events.insert(*IR.NullDeref);
   } else { // reachdefs: no reports; main-exit def facts instead.
-    W.ExitFactsValid = M.ReachedExit;
+    W.ExitFactsValid = IR.ReachedMainExit;
     if (W.ExitFactsValid) {
-      for (const auto &[V, N] : M.MainDefs)
+      for (const auto &[V, N] : IR.MainDefs)
         W.ExitFacts.insert(
             defFactText(Prog, V, false, Prog.mainProc(), N));
-      for (const auto &[P, N] : M.StoreSites)
+      for (const auto &[P, N] : IR.Stores)
         W.ExitFacts.insert(defFactText(
             Prog, Prog.proc(P).node(N).Cmd.Field, true, P, N));
     }

@@ -5,27 +5,22 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Concrete witness machines, one per registered domain — the ground
-/// truth of the differential oracle. Typestate's is the concrete
-/// interpreter (concrete/Interpreter.h); its events are the allocation
-/// points of the objects that entered the error state. One reference
-/// machine serves the three IFDS-shaped clients (taint, null-deref,
-/// reaching-defs); a separate by-value counter machine serves the
-/// interval domain, whose concretization differs (counters copy, fields
-/// are a global store, method calls on null are no-ops).
-///
-/// Reference-machine semantics mirror concrete/Interpreter.cpp exactly:
-/// uninitialized variables and missing returns are null, and any
-/// dereference of null (load, store base, or method receiver) terminates
-/// the run. On top of that it tracks the three domains' observables:
-///  * taint: objects allocated at source classes are tainted; a sink
-///    method invoked on a tainted receiver is a leak event,
-///  * null-deref: null values carry an "explicitly assigned" provenance
-///    bit; a halt caused by dereferencing an *explicit* null is a deref
-///    event (uninitialized nulls halt silently — the analysis only claims
+/// Concrete witnesses, one per registered domain — the ground truth of
+/// the differential oracle. Four domains share one semantics and read
+/// their observables out of the reference machine (concrete/Interpreter.h):
+///  * typestate: the allocation points of the objects that entered the
+///    error state,
+///  * taint: a method call is a leak when its method is a sink and its
+///    receiver was allocated at a source class (the registry's
+///    convention, see Registry.h),
+///  * null-deref: the dereference of an *explicit* null that halted the
+///    run (uninitialized nulls halt silently — the analysis only claims
 ///    to cover explicit-null flows, see NullDerefProblem.h),
-///  * reaching-defs: the latest direct-def site per frame variable and
-///    every executed store site; compared as main-exit facts.
+///  * reaching-defs: main's final direct definitions and every store that
+///    ran, compared as main-exit facts.
+/// The interval domain's concretization differs (counters copy, fields
+/// are a global store, method calls on null are no-ops), so it runs on
+/// its own by-value counter machine.
 ///
 /// Events are valid for any run prefix (a sound analysis covers every
 /// prefix); exit facts are valid only for runs that complete through
@@ -36,24 +31,15 @@
 #ifndef SWIFT_CLIENTS_CONCRETE_H
 #define SWIFT_CLIENTS_CONCRETE_H
 
+#include "concrete/Interpreter.h"
 #include "ir/Program.h"
 
-#include <cstdint>
 #include <set>
 #include <string>
 #include <utility>
 
 namespace swift {
 namespace clients {
-
-struct WitnessConfig {
-  uint64_t Seed = 1;
-  uint64_t MaxSteps = 20000;
-  unsigned MaxDepth = 64;
-  /// Per-mille probability of taking another loop iteration at each
-  /// while(*) head (mirrors InterpConfig).
-  unsigned LoopContinuePerMille = 400;
-};
 
 struct WitnessResult {
   /// Report sites hit by this schedule: (proc, node), keyed exactly like
@@ -62,22 +48,22 @@ struct WitnessResult {
   /// Non-report facts holding at main's exit, rendered in the abstract
   /// domain's factText format. Only meaningful when ExitFactsValid.
   std::set<std::string> ExitFacts;
-  /// The run reached main's exit normally (no halt, budget not
-  /// exhausted); exit facts may be compared against the analysis.
+  /// The run returned from main (no halt, budget not exhausted).
+  bool ReachedExit = false;
+  /// ReachedExit, for the domains whose ground truth includes exit facts
+  /// (reaching-defs and interval); exit facts may be compared against
+  /// the analysis.
   bool ExitFactsValid = false;
   /// False if the step or depth budget was exhausted mid-run. Events are
   /// still valid (they happened on a real prefix).
   bool Completed = false;
-  uint64_t Steps = 0;
 };
 
-/// Executes one schedule of \p Prog under the witness machine of
-/// \p Domain ("typestate", "taint", "nullderef", "reachdefs", or
-/// "interval").
-/// Taint uses the registry's source/sink convention (see Registry.h).
+/// Executes one schedule of \p Prog under the witness of \p Domain
+/// ("typestate", "taint", "nullderef", "reachdefs", or "interval").
+/// Throws std::runtime_error for any other domain.
 WitnessResult runClientWitness(const std::string &Domain,
-                               const Program &Prog,
-                               const WitnessConfig &Cfg);
+                               const Program &Prog, const InterpConfig &Cfg);
 
 } // namespace clients
 } // namespace swift

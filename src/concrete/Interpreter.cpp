@@ -15,13 +15,17 @@ using namespace swift;
 
 namespace {
 
-using ObjRef = int; // Index into the object store; -1 is null.
+/// A reference: an object, or null with its provenance bit.
+struct Value {
+  int Obj = -1; ///< Index into the object store; -1 is null.
+  bool ExplicitNull = false;
+};
 
 struct Object {
   SiteId Site;
   const TypestateSpec *Spec; // Null for classes without a spec.
   TState T = 0;
-  std::unordered_map<Symbol, ObjRef> Fields;
+  std::unordered_map<Symbol, Value> Fields;
 };
 
 class Interp {
@@ -32,29 +36,45 @@ public:
   InterpResult run() {
     runProc(Prog.mainProc(), {}, 0);
     Result.Completed = !Dead;
+    Result.ReachedMainExit = !Dead && !Halted;
     Result.Steps = Steps;
     Result.ObjectsAllocated = Objects.size();
     return Result;
   }
 
 private:
-  using Env = std::unordered_map<Symbol, ObjRef>;
+  using Env = std::unordered_map<Symbol, Value>;
 
-  ObjRef lookup(const Env &E, Symbol V) const {
+  static Value lookup(const Env &E, Symbol V) {
     auto It = E.find(V);
-    return It == E.end() ? -1 : It->second;
+    return It == E.end() ? Value{} : It->second;
   }
 
-  /// Executes \p P with \p Args; returns the $ret value (-1 if none).
-  ObjRef runProc(ProcId P, const std::vector<ObjRef> &Args, unsigned Depth) {
+  /// Assigns \p V to \p Dst at node \p N, a direct definition.
+  void define(Env &E, Symbol Dst, Value V, NodeId N, unsigned Depth) {
+    E[Dst] = V;
+    if (Depth == 0)
+      Result.MainDefs[Dst] = N;
+  }
+
+  /// A dereference of the null \p V at (\p P, \p N) terminates the run
+  /// (a Java NPE).
+  void derefNull(ProcId P, NodeId N, Value V) {
+    if (V.ExplicitNull)
+      Result.NullDeref.emplace(P, N);
+    Halted = true;
+  }
+
+  /// Executes \p P with \p Args; returns the $ret value (null if none).
+  Value runProc(ProcId P, const std::vector<Value> &Args, unsigned Depth) {
     if (Depth > Cfg.MaxDepth) {
       Dead = true;
-      return -1;
+      return Value{};
     }
     const Procedure &Proc = Prog.proc(P);
     Env E;
     for (size_t I = 0; I != Proc.params().size(); ++I)
-      E[Proc.params()[I]] = I < Args.size() ? Args[I] : -1;
+      E[Proc.params()[I]] = I < Args.size() ? Args[I] : Value{};
 
     NodeId Cur = Proc.entry();
     while (!Dead && !Halted && Cur != Proc.exit()) {
@@ -79,58 +99,55 @@ private:
   }
 
   void exec(ProcId P, const Command &C, Env &E, unsigned Depth) {
-    (void)P;
     switch (C.Kind) {
     case CmdKind::Nop:
       return;
 
     case CmdKind::Alloc: {
-      ObjRef O = static_cast<ObjRef>(Objects.size());
+      int O = static_cast<int>(Objects.size());
       Objects.push_back(
           Object{C.Site, Prog.specFor(C.Class),
                  Prog.specFor(C.Class) ? Prog.specFor(C.Class)->initState()
                                        : TState(0),
                  {}});
-      E[C.Dst] = O;
+      define(E, C.Dst, Value{O, false}, C.Self, Depth);
       return;
     }
 
     case CmdKind::Copy:
-      E[C.Dst] = lookup(E, C.Src);
+      define(E, C.Dst, lookup(E, C.Src), C.Self, Depth);
       return;
 
     case CmdKind::AssignNull:
-      E[C.Dst] = -1;
+      define(E, C.Dst, Value{-1, true}, C.Self, Depth);
       return;
 
     case CmdKind::Load: {
-      ObjRef Base = lookup(E, C.Src);
-      if (Base < 0) {
-        Halted = true; // Null dereference terminates the run (Java NPE).
-        return;
-      }
-      auto It = Objects[Base].Fields.find(C.Field);
-      E[C.Dst] = It == Objects[Base].Fields.end() ? -1 : It->second;
+      Value Base = lookup(E, C.Src);
+      if (Base.Obj < 0)
+        return derefNull(P, C.Self, Base);
+      auto It = Objects[Base.Obj].Fields.find(C.Field);
+      define(E, C.Dst,
+             It == Objects[Base.Obj].Fields.end() ? Value{} : It->second,
+             C.Self, Depth);
       return;
     }
 
     case CmdKind::Store: {
-      ObjRef Base = lookup(E, C.Dst);
-      if (Base < 0) {
-        Halted = true;
-        return;
-      }
-      Objects[Base].Fields[C.Field] = lookup(E, C.Src);
+      Value Base = lookup(E, C.Dst);
+      if (Base.Obj < 0)
+        return derefNull(P, C.Self, Base);
+      Objects[Base.Obj].Fields[C.Field] = lookup(E, C.Src);
+      Result.Stores.emplace(P, C.Self);
       return;
     }
 
     case CmdKind::TsCall: {
-      ObjRef Recv = lookup(E, C.Src);
-      if (Recv < 0) {
-        Halted = true;
-        return;
-      }
-      Object &O = Objects[Recv];
+      Value Recv = lookup(E, C.Src);
+      if (Recv.Obj < 0)
+        return derefNull(P, C.Self, Recv);
+      Object &O = Objects[Recv.Obj];
+      Result.Calls.emplace(P, C.Self, O.Site);
       if (!O.Spec || !O.Spec->hasMethod(C.Method))
         return; // Foreign method: no typestate effect.
       TState Err = O.Spec->errorState();
@@ -144,13 +161,16 @@ private:
     }
 
     case CmdKind::Call: {
-      std::vector<ObjRef> Args;
+      std::vector<Value> Args;
       Args.reserve(C.Args.size());
       for (Symbol A : C.Args)
         Args.push_back(lookup(E, A));
-      ObjRef Ret = runProc(C.Callee, Args, Depth + 1);
-      if (C.Dst.isValid())
+      Value Ret = runProc(C.Callee, Args, Depth + 1);
+      if (C.Dst.isValid()) {
         E[C.Dst] = Ret;
+        if (Depth == 0)
+          Result.MainDefs.erase(C.Dst);
+      }
       return;
     }
     }

@@ -10,6 +10,7 @@
 #include "clients/Registry.h"
 #include "govern/Checkpoint.h"
 #include "ir/Dumper.h"
+#include "obs/Metrics.h"
 #include "serve/EditGen.h"
 #include "serve/Engine.h"
 #include "shard/Sharded.h"
@@ -642,7 +643,7 @@ void OracleRun::checkShardInvariance(const TsContext &Ctx,
   std::string Class = Prog.symbols().text(Ctx.spec().name());
 
   shard::ShardedOptions SO;
-  SO.MaxSteps = Opts.Limits.MaxSteps;
+  SO.Limits = Opts.Limits;
   std::optional<shard::ShardedResult> Ref;
   std::string RefName;
   for (unsigned K : {1u, 2u, 4u}) {
@@ -707,17 +708,31 @@ OracleResult OracleRun::run() {
   // before a budget exhaustion are still real executions, so incomplete
   // schedules contribute too; exit facts count only from schedules that
   // reached main's exit.
+  uint64_t ExitSchedules = 0, ReportSchedules = 0;
   for (unsigned I = 0; I != Opts.Schedules; ++I) {
-    clients::WitnessConfig WC;
-    WC.Seed = Opts.InterpSeed + I;
-    WC.MaxSteps = 20'000;
+    InterpConfig IC;
+    IC.Seed = Opts.InterpSeed + I;
+    IC.MaxSteps = 20'000;
     // Alternate loop appetites so both quick exits and deep iteration get
     // explored.
-    WC.LoopContinuePerMille = (I % 2) ? 700 : 300;
-    clients::WitnessResult W = clients::runClientWitness(Domain, Prog, WC);
+    IC.LoopContinuePerMille = (I % 2) ? 700 : 300;
+    clients::WitnessResult W = clients::runClientWitness(Domain, Prog, IC);
     WitnessReports.insert(W.Events.begin(), W.Events.end());
     if (W.ExitFactsValid)
       WitnessExitFacts.insert(W.ExitFacts.begin(), W.ExitFacts.end());
+    ExitSchedules += W.ReachedExit;
+    ReportSchedules += !W.Events.empty();
+  }
+  // Witness coverage, one sample per checked program: schedules that
+  // never get past a null dereference leave exit facts unchecked.
+  if (obs::metricsEnabled()) {
+    static obs::Histogram *Exits = obs::MetricsRegistry::instance().histogram(
+        "difftest.witness_exit_schedules");
+    static obs::Histogram *Reports =
+        obs::MetricsRegistry::instance().histogram(
+            "difftest.witness_report_schedules");
+    Exits->record(ExitSchedules);
+    Reports->record(ReportSchedules);
   }
 
   std::vector<Run> Runs;

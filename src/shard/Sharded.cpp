@@ -21,9 +21,9 @@ ShardedResult assembleCore(Program &Prog, const TsContext &Ctx,
                            const ShardPlan &Plan,
                            const SegmentSource &Source,
                            const std::set<unsigned> &DegradedShards,
-                           uint64_t MaxSteps) {
+                           RunLimits Limits) {
   ShardedResult R;
-  Budget Bud(MaxSteps, 1e18);
+  Budget Bud(Limits.MaxSteps, Limits.MaxSeconds);
   Stats Stat;
   RelationalSolver<TsAnalysis> Solver =
       makePureBuSolver<TsAnalysis>(Ctx, Bud, Stat);
@@ -58,7 +58,8 @@ ShardedResult shard::assembleFromSpool(Program &Prog, const TsContext &Ctx,
     Source = [&SpoolDir, ProgHash](size_t S) {
       return tryLoadSegment(SpoolDir, S, ProgHash);
     };
-  return assembleCore(Prog, Ctx, Plan, Source, DegradedShards, MaxSteps);
+  return assembleCore(Prog, Ctx, Plan, Source, DegradedShards,
+                      RunLimits{MaxSteps});
 }
 
 ShardedResult shard::runShardedInProcess(Program &Prog,
@@ -91,7 +92,7 @@ ShardedResult shard::runShardedInProcess(Program &Prog,
   // which recomputes with the degraded SCCs soundly ignored.
   if (Opts.DegradedShards.empty()) {
     for (unsigned Sh = 0; Sh != Plan.NumShards; ++Sh) {
-      Budget Bud(Opts.MaxSteps, 1e18);
+      Budget Bud(Opts.Limits.MaxSteps, Opts.Limits.MaxSeconds);
       Stats Stat;
       RelationalSolver<TsAnalysis> Solver =
           makePureBuSolver<TsAnalysis>(Ctx, Bud, Stat);
@@ -121,7 +122,7 @@ ShardedResult shard::runShardedInProcess(Program &Prog,
   }
 
   ShardedResult R = assembleCore(Prog, Ctx, Plan, Source,
-                                 Opts.DegradedShards, Opts.MaxSteps);
+                                 Opts.DegradedShards, Opts.Limits);
   R.Steps += Steps;
   return R;
 }

@@ -36,7 +36,7 @@ namespace shard {
 
 struct ShardedOptions {
   unsigned NumShards = 1;
-  uint64_t MaxSteps = UINT64_MAX; ///< Per simulated worker and assembly.
+  RunLimits Limits; ///< Per simulated worker and per assembly.
   /// Shards forced to behave as permanently failed (their SCCs degrade).
   std::set<unsigned> DegradedShards;
 };
@@ -62,9 +62,10 @@ struct ShardedResult {
 /// segments and derive verdicts. When \p Opts.DegradedShards is
 /// non-empty, the per-shard simulation is skipped (workers publish
 /// nothing under degradation) and the assembly solves everything itself
-/// with the degraded SCCs' summaries soundly ignored. On budget
-/// exhaustion returns Complete = false with empty results — like the
-/// ungoverned runners, a partial pure-BU run reports only the failure.
+/// with the degraded SCCs' summaries soundly ignored. When a worker or
+/// the assembly exhausts its step or wall limit, returns Complete = false
+/// with empty results — like the ungoverned runners, a partial pure-BU
+/// run reports only the failure.
 ShardedResult runShardedInProcess(Program &Prog,
                                   const std::string &TrackedClass,
                                   const ShardedOptions &Opts);

@@ -11,13 +11,15 @@
 /// contract of the IFDS clients (the exact footprint the bottom-up
 /// synthesis of the paper's Section 5.2 relies on), the taint client's
 /// directed cases and its verdicts pinned against
-/// tests/corpus/taint_leaks.txt (re-recording: tests/RecordedDigests.h),
-/// and the in-process sharded-BU wavefront smoke (worker count never
-/// changes any result).
+/// tests/corpus/taint_leaks.txt, every domain's concrete witness pinned
+/// against tests/corpus/witness_digests.txt (re-recording for both:
+/// tests/RecordedDigests.h), and the in-process sharded-BU wavefront
+/// smoke (worker count never changes any result).
 ///
 //===----------------------------------------------------------------------===//
 
 #include "RecordedDigests.h"
+#include "clients/Concrete.h"
 #include "clients/Registry.h"
 #include "clients/TestHooks.h"
 #include "clients/ifds/IfdsAnalysis.h"
@@ -38,6 +40,7 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <set>
@@ -553,6 +556,98 @@ TEST(TaintDigest, FuzzSeedsMatchRecorded) {
     expectTaintRecorded(
         "fuzz:" + std::to_string(Seed),
         *generateFuzzProgram(difftest::fuzzConfigForSeed(Seed)));
+}
+
+//===----------------------------------------------------------------------===//
+// Recorded witness digests
+//===----------------------------------------------------------------------===//
+
+/// One line of tests/corpus/witness_digests.txt:
+/// "<domain>:<program> <completed> <exits> <reporting> <events> <facts>
+/// <hash>" over the difftest oracle's eight witness schedules from
+/// \p InterpSeed (seeds InterpSeed + i, 20,000 steps, loop appetites
+/// alternating 300 and 700 per mille). It counts the schedules that
+/// completed, that reached main's exit with valid exit facts, and that
+/// reported; sizes the union of their events and of their valid exit
+/// facts; and hashes every schedule's two flags, events and exit facts.
+std::string witnessLine(const std::string &Domain, const std::string &Name,
+                        const Program &Prog, uint64_t InterpSeed) {
+  unsigned Completed = 0, Exits = 0, Reporting = 0;
+  std::set<Point> Events;
+  std::set<std::string> Facts;
+  uint64_t H = 0x3177e55;
+  for (unsigned I = 0; I != 8; ++I) {
+    InterpConfig C;
+    C.Seed = InterpSeed + I;
+    C.MaxSteps = 20'000;
+    C.LoopContinuePerMille = I % 2 ? 700 : 300;
+    WitnessResult W = runClientWitness(Domain, Prog, C);
+    Completed += W.Completed;
+    Exits += W.ExitFactsValid;
+    Reporting += !W.Events.empty();
+    H = hashCombine(H, W.Completed * 2 + W.ExitFactsValid);
+    H = hashCombine(H, W.Events.size());
+    for (const auto &[P, N] : W.Events)
+      H = hashCombine(hashCombine(H, P), N);
+    H = hashCombine(H, W.ExitFacts.size());
+    for (const std::string &F : W.ExitFacts)
+      H = hashCombine(H, crc32(F.data(), F.size()));
+    Events.insert(W.Events.begin(), W.Events.end());
+    if (W.ExitFactsValid)
+      Facts.insert(W.ExitFacts.begin(), W.ExitFacts.end());
+  }
+  char Buf[160];
+  std::snprintf(Buf, sizeof(Buf), "%s:%s %u %u %u %zu %zu %016" PRIx64,
+                Domain.c_str(), Name.c_str(), Completed, Exits, Reporting,
+                Events.size(), Facts.size(), H);
+  return Buf;
+}
+
+/// Expects every domain's witness on \p Prog to give its recorded line.
+void expectWitnessRecorded(const std::string &Name, const Program &Prog,
+                           uint64_t InterpSeed) {
+  std::vector<std::string> Domains{"typestate"};
+  Domains.insert(Domains.end(), clientDomainNames().begin(),
+                 clientDomainNames().end());
+  for (const std::string &D : Domains)
+    digests::expectRecorded("witness_digests.txt",
+                            witnessLine(D, Name, Prog, InterpSeed),
+                            "witness digest");
+}
+
+TEST(WitnessDigest, FuzzSeedsMatchRecorded) {
+  // The campaign's schedule seed for fuzz seed s (difftest::runCampaign).
+  for (uint64_t Seed = 1; Seed <= 300; ++Seed)
+    expectWitnessRecorded(
+        "fuzz:" + std::to_string(Seed),
+        *generateFuzzProgram(difftest::fuzzConfigForSeed(Seed)),
+        Seed * 1013 + 1);
+}
+
+TEST(WitnessDigest, Table1ConfigsMatchRecorded) {
+  for (const NamedWorkload &W : benchmarkWorkloads())
+    expectWitnessRecorded("table1:" + W.Name, *generateWorkload(W.Config), 1);
+}
+
+TEST(WitnessDigest, CorpusProgramsMatchRecorded) {
+  // Schedules seeded as swift-difftest --replay seeds them.
+  namespace fs = std::filesystem;
+  std::vector<fs::path> Files;
+  for (const char *Dir : {"", "clients"})
+    for (const fs::directory_entry &E :
+         fs::directory_iterator(fs::path(SWIFT_CORPUS_DIR) / Dir))
+      if (E.path().extension() == ".swiftir")
+        Files.push_back(E.path());
+  std::sort(Files.begin(), Files.end());
+  ASSERT_EQ(Files.size(), 7u);
+  for (const fs::path &F : Files) {
+    std::ifstream IS(F);
+    std::stringstream Buf;
+    Buf << IS.rdbuf();
+    std::string Name =
+        F.lexically_relative(SWIFT_CORPUS_DIR).replace_extension().string();
+    expectWitnessRecorded("corpus:" + Name, *parseProgramText(Buf.str()), 1);
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -297,6 +297,25 @@ TEST(ShardedRun, DegradedShardsYieldSoundPartialVerdicts) {
   }
 }
 
+TEST(ShardedRun, WallLimitStopsWorkersAndAssembly) {
+  // Pure BU on fuzz seed 4 takes seconds. A wall limit far below that
+  // must stop the simulated workers, and the assembly: with shard 3 of 4
+  // degraded, which lies outside main's closure, the assembly solves
+  // the whole closure alone.
+  std::unique_ptr<Program> Prog = fuzzProgram(4);
+  std::string Class = trackedClass(*Prog);
+  shard::ShardedOptions SO;
+  SO.Limits.MaxSeconds = 0.05;
+  for (unsigned K : {1u, 2u}) {
+    SO.NumShards = K;
+    EXPECT_FALSE(shard::runShardedInProcess(*Prog, Class, SO).Complete)
+        << "K " << K;
+  }
+  SO.NumShards = 4;
+  SO.DegradedShards = {3};
+  EXPECT_FALSE(shard::runShardedInProcess(*Prog, Class, SO).Complete);
+}
+
 //===----------------------------------------------------------------------===//
 // Worker library (no processes: runWorker called in-process)
 //===----------------------------------------------------------------------===//
