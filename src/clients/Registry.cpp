@@ -58,8 +58,7 @@ std::set<Symbol> findAll(const SymbolTable &Syms,
 template <typename AN, typename ReportSiteFn, typename FactStrFn>
 DomainRunResult runModeT(const typename AN::Context &Ctx, DomainMode Mode,
                          uint64_t K, uint64_t Theta, unsigned Threads,
-                         RunLimits Limits, bool Manifest, ReportSiteFn RS,
-                         FactStrFn FS) {
+                         RunLimits Limits, ReportSiteFn RS, FactStrFn FS) {
   using State = typename AN::State;
   const Program &Prog = Ctx.program();
   const Point MainExit{Prog.mainProc(), Prog.proc(Prog.mainProc()).exit()};
@@ -93,7 +92,6 @@ DomainRunResult runModeT(const typename AN::Context &Ctx, DomainMode Mode,
   Cfg.K = Mode == DomainMode::Td ? NoBuTrigger : K;
   Cfg.Theta = Mode == DomainMode::Td ? 1 : Theta;
   Cfg.BuThreads = Threads;
-  Cfg.ObservationManifest = Manifest;
   runTabulation<AN>(Ctx, Cfg, Limits, R,
                     [&](const TabulationSolver<AN> &Solver) {
                       Solver.forEachFact([&](ProcId P, NodeId N,
@@ -153,7 +151,7 @@ DomainRunResult clients::runClientDomain(const std::string &Domain,
                                          const Program &Prog,
                                          DomainMode Mode, uint64_t K,
                                          uint64_t Theta, unsigned Threads,
-                                         RunLimits Limits, bool Manifest) {
+                                         RunLimits Limits) {
   if (Domain == "typestate") {
     if (Prog.numSpecs() == 0)
       throw std::runtime_error("typestate: program declares no spec");
@@ -162,12 +160,8 @@ DomainRunResult clients::runClientDomain(const std::string &Domain,
       return typestateResult(Prog, runTypestateTd(Ctx, Limits));
     if (Mode == DomainMode::Bu)
       return typestateResult(Prog, runTypestateBu(Ctx, Limits, Threads));
-    SwiftRunConfig SC;
-    SC.K = K;
-    SC.Theta = Theta;
-    SC.Threads = Threads;
-    SC.ObservationManifest = Manifest;
-    return typestateResult(Prog, runTypestateSwift(Ctx, SC, Limits));
+    return typestateResult(Prog,
+                           runTypestateSwift(Ctx, K, Theta, Limits, Threads));
   }
 
   if (Domain == "interval") {
@@ -179,7 +173,7 @@ DomainRunResult clients::runClientDomain(const std::string &Domain,
     };
     auto FS = [&Prog](const interval::IvFact &F) { return F.str(Prog); };
     return runModeT<interval::IvAnalysis>(Ctx, Mode, K, Theta, Threads,
-                                          Limits, Manifest, RS, FS);
+                                          Limits, RS, FS);
   }
 
   std::unique_ptr<ifds::IfdsProblem> Pb = makeProblem(Domain, Prog);
@@ -195,5 +189,5 @@ DomainRunResult clients::runClientDomain(const std::string &Domain,
   };
   auto FS = [&Pb](const ifds::IfdsFact &F) { return Pb->factText(F.Id); };
   return runModeT<ifds::IfdsAnalysis>(Ctx, Mode, K, Theta, Threads, Limits,
-                                      Manifest, RS, FS);
+                                      RS, FS);
 }

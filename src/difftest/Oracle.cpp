@@ -40,8 +40,6 @@ const char *swift::difftest::checkKindName(CheckKind K) {
     return "error-point-subset";
   case CheckKind::BuAgreement:
     return "bu-agreement";
-  case CheckKind::ManifestOff:
-    return "manifest-off";
   case CheckKind::ThreadDeterminism:
     return "thread-determinism";
   case CheckKind::PartialSoundness:
@@ -64,14 +62,13 @@ struct Row {
   uint64_t K = 0;
   uint64_t Theta = 1;
   unsigned Threads = 1;
-  bool Manifest = true;
 };
 
 /// The table every domain runs, TD (the reference) first. SWIFT at six
 /// (k, theta): the trigger fires at different times, so these cover very
 /// different mixes of analyzed and served calls. Results must be
 /// bit-identical at every worker count, so two representative (k, theta)
-/// points suffice per count; the same two run the manifest-off ablation.
+/// points suffice per count.
 const Row Table[] = {
     {DomainMode::Td},
     {DomainMode::Bu, 0, 1, 1},
@@ -87,8 +84,6 @@ const Row Table[] = {
     {DomainMode::Swift, 5, 2, 2},
     {DomainMode::Swift, 2, 1, 4},
     {DomainMode::Swift, 5, 2, 4},
-    {DomainMode::Swift, 2, 1, 1, false},
-    {DomainMode::Swift, 5, 2, 1, false},
 };
 
 /// A row's name without its worker count: rows in one group must agree
@@ -98,8 +93,7 @@ std::string groupName(const Row &R) {
     return "td";
   if (R.Mode == DomainMode::Bu)
     return "bu";
-  return "swift/k" + std::to_string(R.K) + "/th" + std::to_string(R.Theta) +
-         (R.Manifest ? "" : "/nomanifest");
+  return "swift/k" + std::to_string(R.K) + "/th" + std::to_string(R.Theta);
 }
 
 std::string rowName(const Row &R) {
@@ -228,19 +222,6 @@ void OracleRun::checkAgainstTd(const Row &Rw, const std::string &Name,
     if (R.ExitFacts != Td.ExitFacts)
       addViolation(CheckKind::BuAgreement, Name,
                    divergence("main-exit facts", R.ExitFacts, Td.ExitFacts));
-    return;
-  }
-
-  if (!Rw.Manifest) {
-    // Ablation: the manifest only affects reporting; value results must
-    // still coincide, and reporting may only under-approximate.
-    if (R.ExitFacts != Td.ExitFacts)
-      addViolation(CheckKind::ManifestOff, Name,
-                   divergence("main-exit facts", R.ExitFacts, Td.ExitFacts));
-    std::set<Point> Extra = setMinus(R.Reports, Td.Reports);
-    if (!Extra.empty())
-      addViolation(CheckKind::ManifestOff, Name,
-                   "report sites td does not report: " + str(Extra));
     return;
   }
 
@@ -737,8 +718,8 @@ OracleResult OracleRun::run() {
 
   std::vector<Run> Runs;
   // Once a pure BU run or a SWIFT (k, theta) times out, skip its other
-  // worker-count and manifest variants: the step budget bounds total
-  // work, so they would burn the same wall budget just to time out again.
+  // worker-count variants: the step budget bounds total work, so they
+  // would burn the same wall budget just to time out again.
   bool BuTimedOut = false;
   std::set<std::pair<uint64_t, uint64_t>> TimedOutKT;
   for (const Row &Rw : Table) {
@@ -746,8 +727,7 @@ OracleResult OracleRun::run() {
                                   : TimedOutKT.count({Rw.K, Rw.Theta}) != 0)
       continue;
     Run R{&Rw, clients::runClientDomain(Domain, Prog, Rw.Mode, Rw.K,
-                                        Rw.Theta, Rw.Threads, Opts.Limits,
-                                        Rw.Manifest)};
+                                        Rw.Theta, Rw.Threads, Opts.Limits)};
     ++Res.RunsDone;
     if (R.Result.Timeout) {
       ++Res.RunsTimedOut;
@@ -769,10 +749,7 @@ OracleResult OracleRun::run() {
   for (const Run &R : Runs) {
     if (R.Result.Timeout)
       continue;
-    // The concrete semantics only reaches what the manifest-on analyses
-    // are required to report.
-    if (R.Rw->Manifest)
-      checkSoundness(rowName(*R.Rw), R.Result);
+    checkSoundness(rowName(*R.Rw), R.Result);
     if (TdOk && &R != &Runs.front())
       checkAgainstTd(*R.Rw, rowName(*R.Rw), R.Result, Td);
   }

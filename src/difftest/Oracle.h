@@ -8,15 +8,15 @@
 /// The differential-testing oracle, one for every registered domain
 /// (clients/Registry.h: typestate, taint, nullderef, reachdefs,
 /// interval). It runs the domain's concrete witness (clients/Concrete.h)
-/// as ground truth and one 16-row table of analysis modes on one program
+/// as ground truth and one 14-row table of analysis modes on one program
 /// — TD (the reference); pure BU at 1, 2 and 4 threads; SWIFT at (k,
-/// theta) in {(0,1), (1,1), (2,1), (1,2), (3,2), (5,2)}; (2,1) and (5,2)
-/// at 2 and 4 threads; and (2,1) and (5,2) with the observation manifest
-/// off — then checks every relation the paper guarantees:
+/// theta) in {(0,1), (1,1), (2,1), (1,2), (3,2), (5,2)}; and (2,1) and
+/// (5,2) at 2 and 4 threads — then checks every relation the paper
+/// guarantees:
 ///
 ///  * Soundness — every witness report site, and every main-exit fact of
 ///    a witness schedule that reached main's exit, is reported by every
-///    complete manifest-on run.
+///    complete run.
 ///  * TD coincidence (Theorem 3.1) — SWIFT's report sites and main-exit
 ///    facts equal TD's at every (k, theta, threads).
 ///  * Report-point containment — a SWIFT report point is a TD report
@@ -25,8 +25,6 @@
 ///    call).
 ///  * BU agreement — the unpruned bottom-up analysis, instantiated on the
 ///    initial state, matches TD's report sites and main-exit facts.
-///  * Manifest-off ablation — main-exit facts still coincide; report
-///    sites may only under-approximate TD's, never over-approximate.
 ///  * Thread determinism — rows differing only in worker count agree in
 ///    report sites, report points, main-exit facts and summary counts.
 ///
@@ -56,7 +54,6 @@ enum class CheckKind {
   TdCoincidence,
   ErrorPointSubset,
   BuAgreement,
-  ManifestOff,
   ThreadDeterminism,
   /// Budget-limited governed runs return a sound subset: partial error
   /// sites are TD error sites, partial verdicts never claim Proved for a

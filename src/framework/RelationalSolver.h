@@ -127,11 +127,10 @@ public:
                    const CallGraph &CG, uint64_t Theta, FreqProvider Freq,
                    Budget &B, Stats &S,
                    uint64_t MaxRelsPerPoint = DefaultMaxRelsPerPoint,
-                   bool CollectObservations = true, unsigned NumThreads = 1,
-                   ResourceGovernor *Gov = nullptr)
+                   unsigned NumThreads = 1, ResourceGovernor *Gov = nullptr)
       : Ctx(Ctx), Prog(Prog), CG(CG), Theta(Theta), Freq(std::move(Freq)),
-        Bud(B), Stat(S), MaxRels(MaxRelsPerPoint),
-        CollectObs(CollectObservations), Threads(NumThreads), Gov(Gov) {
+        Bud(B), Stat(S), MaxRels(MaxRelsPerPoint), Threads(NumThreads),
+        Gov(Gov) {
     Summaries.resize(Prog.numProcs());
     HasSummary.assign(Prog.numProcs(), 0);
     Bindings.resize(Prog.numProcs());
@@ -591,7 +590,6 @@ private:
 
         // Lift the callee's observation manifest (errors at its internal
         // points) into this procedure's entry vocabulary.
-        if (CollectObs) {
         SummaryView ObsSV;
         ObsSV.Rels = HasSummary[G] ? &Summaries[G].ObsRels : &EmptyRels;
         ObsSV.Sigma = HasSummary[G] ? &Summaries[G].SigmaAll : &EmptySigma;
@@ -610,7 +608,6 @@ private:
         for (Rel &R : LiftedObs)
           if (AN::relMayObserve(Ctx, R))
             Obs.push_back(std::move(R));
-        }
       } else {
         OutVal.HasLambda = Vals[N].HasLambda;
         for (const Rel &R : Vals[N].Rels) {
@@ -635,10 +632,9 @@ private:
       // Record observable relations at this point and fold this point's
       // ignore set into the whole-procedure guard.
       SigAll.unionWith(OutVal.Sigma);
-      if (CollectObs)
-        for (const Rel &R : OutVal.Rels)
-          if (AN::relMayObserve(Ctx, R))
-            Obs.push_back(R);
+      for (const Rel &R : OutVal.Rels)
+        if (AN::relMayObserve(Ctx, R))
+          Obs.push_back(R);
       if (Obs.size() > ObsCompactAt) {
         std::sort(Obs.begin(), Obs.end());
         Obs.erase(std::unique(Obs.begin(), Obs.end()), Obs.end());
@@ -714,7 +710,6 @@ private:
   Budget &Bud;
   Stats &Stat;
   uint64_t MaxRels;
-  bool CollectObs;
   unsigned Threads;
   ResourceGovernor *Gov; ///< Optional; see constructor.
   DepRecorder Deps;      ///< Optional; see setDepRecorder.

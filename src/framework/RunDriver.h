@@ -97,10 +97,10 @@ void runTabulation(const typename AN::Context &Ctx,
 }
 
 /// The pure-BU solver: no pruning (theta = NoPruning, so no top-down
-/// frequencies are ever consulted) and the observation manifest on. Batch
-/// BU, the serve engine and every shard role use this one configuration,
-/// so their summaries agree byte for byte; callers vary only the budget,
-/// stats, worker count, relation cap and governor.
+/// frequencies are ever consulted). Batch BU, the serve engine and every
+/// shard role use this one configuration, so their summaries agree byte
+/// for byte; callers vary only the budget, stats, worker count, relation
+/// cap and governor.
 template <typename AN>
 RelationalSolver<AN>
 makePureBuSolver(const typename AN::Context &Ctx, Budget &B, Stats &S,
@@ -109,7 +109,7 @@ makePureBuSolver(const typename AN::Context &Ctx, Budget &B, Stats &S,
                  ResourceGovernor *Gov = nullptr) {
   return RelationalSolver<AN>(Ctx, Ctx.program(), Ctx.callGraph(), NoPruning,
                               /*Freq=*/nullptr, B, S, MaxRelsPerPoint,
-                              /*CollectObservations=*/true, Threads, Gov);
+                              Threads, Gov);
 }
 
 /// Pure BU's read-out: applies \p Main, main's finished summary, to the

@@ -117,11 +117,6 @@ public:
   struct Config {
     uint64_t K = NoBuTrigger; ///< Trigger threshold; NoBuTrigger = pure TD.
     uint64_t Theta = 1;       ///< Cases kept by the pruned bottom-up run.
-    /// Collect and serve the observation manifest (errors at callee-
-    /// internal points; see RelationalSolver::Summary). Disabling it is
-    /// an ablation knob: value results stay coincident, but errors on
-    /// paths that diverge inside served callees can be missed.
-    bool ObservationManifest = true;
     /// Worker threads inside each bottom-up solve (SCC-DAG wavefront);
     /// 1 = the sequential callee-first sweep. Summaries are identical for
     /// every value.
@@ -638,9 +633,7 @@ private:
     State EntryState = States[EntryId];
     ServeRow R{};
     R.Gen = ServeGen;
-    if (Bu[G] &&
-        !(Cfg.ObservationManifest ? Bu[G]->SigmaAll : Bu[G]->Sigma)
-             .contains(Ctx, EntryState)) {
+    if (Bu[G] && !Bu[G]->SigmaAll.contains(Ctx, EntryState)) {
       R.Served = 1;
       R.LambdaServe = AN::isLambda(EntryState) && Bu[G]->LambdaExit;
       std::vector<uint32_t> Outs, Obs;
@@ -799,8 +792,7 @@ private:
     Stats BuStats;
     RelationalSolver<AN> Solver(
         Ctx, Prog, CG, EffTheta, [&Freq](ProcId Q) { return &Freq[Q]; },
-        Bud, BuStats, DefaultMaxRelsPerPoint, Cfg.ObservationManifest,
-        Cfg.BuThreads, Cfg.Gov);
+        Bud, BuStats, DefaultMaxRelsPerPoint, Cfg.BuThreads, Cfg.Gov);
     bool Ok = Solver.run(F);
     BuStats.counter(CtrBuTimeUs) +=
         static_cast<uint64_t>(BuTimer.seconds() * 1e6);

@@ -125,9 +125,9 @@ std::string swift::checkpointToText(const Program &Prog,
     OS << "td";
   else
     OS << C.Config.K;
-  // The async field is kept for format compatibility and always 0.
-  OS << " theta " << C.Config.Theta << " manifest "
-     << (C.Config.ObservationManifest ? 1 : 0) << " async 0 threads "
+  // The manifest and async fields are kept for format compatibility and
+  // always 1 and 0.
+  OS << " theta " << C.Config.Theta << " manifest 1 async 0 threads "
      << C.Config.Threads << '\n';
   OS << "steps " << C.StepsConsumed << '\n';
   OS << "program begin\n";
@@ -210,10 +210,12 @@ ParsedCheckpoint swift::parseCheckpointText(std::string_view Text) {
       fail(R.Line, "malformed config line");
     C.Config.K = T[2] == "td" ? NoBuTrigger : num(T[2], R.Line);
     C.Config.Theta = num(T[4], R.Line);
-    C.Config.ObservationManifest = num(T[6], R.Line, 1) != 0;
-    // async 1 was written by asynchronous bottom-up runs, which no longer
+    // manifest 0 and async 1 were written by runs without the observation
+    // manifest and with asynchronous bottom-up, modes that no longer
     // exist. The snapshot holds no bottom-up state, so such a checkpoint
-    // resumes synchronously; the field is still range-checked.
+    // resumes with the manifest, synchronously; both fields are still
+    // range-checked.
+    (void)num(T[6], R.Line, 1);
     (void)num(T[8], R.Line, 1);
     // The same range swift-analyze --threads accepts.
     if (!cli::parseUnsigned(T[10], C.Config.Threads, 1, 1024))

@@ -407,8 +407,11 @@ uint64_t Value::asU64() const {
     return U;
   if (NR == NumRep::I64)
     return 0; // I64 representation is negative by construction.
-  if (Num < 0)
+  if (!(Num >= 0)) // Negatives and NaN.
     return 0;
+  // 2^64 is exact as a double; casting it or anything above is undefined.
+  if (Num >= 18446744073709551616.0)
+    return UINT64_MAX;
   return static_cast<uint64_t>(Num);
 }
 

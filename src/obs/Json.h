@@ -69,7 +69,8 @@ struct Value {
 
   /// The number as uint64_t: exact for integer-represented values (the
   /// parser preserves pure-integer lexemes up to UINT64_MAX), otherwise
-  /// Num truncated (0 for non-numbers or negatives).
+  /// Num truncated (0 for non-numbers, negatives and NaN; UINT64_MAX from
+  /// 2^64 up).
   uint64_t asU64() const;
 };
 

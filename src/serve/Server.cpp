@@ -13,6 +13,7 @@
 
 #include <chrono>
 #include <istream>
+#include <limits>
 #include <optional>
 #include <ostream>
 #include <stdexcept>
@@ -52,18 +53,6 @@ json::Value errorResp(const char *Code, const std::string &Msg) {
   put(R, "code", json::Value::str(Code));
   put(R, "error", json::Value::str(Msg));
   return R;
-}
-
-const char *verdictName(TsVerdict V) {
-  switch (V) {
-  case TsVerdict::Proved:
-    return "proved";
-  case TsVerdict::ErrorReported:
-    return "error";
-  case TsVerdict::Unresolved:
-    return "unresolved";
-  }
-  return "unresolved";
 }
 
 json::Value editResp(const EditResult &R) {
@@ -128,10 +117,32 @@ json::Value shedResp() {
                    "queue pressure); retry after backoff");
 }
 
-/// Optional numeric "deadline_ms" field; 0 = absent = engine default.
-uint64_t deadlineField(const json::Value &Req) {
-  const json::Value *D = Req.find("deadline_ms");
-  return D && D->isNumber() ? D->asU64() : 0;
+/// Field \p Key of \p Req as an integer in [0, \p Max]; nullopt when it
+/// is absent or anything else. Only an exact integer lexeme qualifies (the
+/// parser keeps exactly those as NumRep::U64): read through asU64, a
+/// fraction, a negative or a wider value would name some other integer.
+std::optional<uint64_t> uintField(const json::Value &Req,
+                                  std::string_view Key,
+                                  uint64_t Max = UINT64_MAX) {
+  const json::Value *V = Req.find(Key);
+  if (!V || !V->isNumber() || V->NR != json::Value::NumRep::U64 ||
+      V->U > Max)
+    return std::nullopt;
+  return V->U;
+}
+
+/// The optional "deadline_ms" field of an edit-class request: 0 (the
+/// engine default) when absent, nullopt when malformed.
+std::optional<uint64_t> deadlineField(const json::Value &Req) {
+  if (!Req.find("deadline_ms"))
+    return 0;
+  return uintField(Req, "deadline_ms");
+}
+
+json::Value badDeadline() {
+  return errorResp("bad_request",
+                   "bad request: 'deadline_ms' must be a non-negative "
+                   "integer");
 }
 
 /// Answers one request line. \p Latency is set to the name of the
@@ -153,15 +164,17 @@ json::Value handle(ServeEngine &E, const std::string &Line,
                      "bad request: missing string field 'op'");
 
   if (Op->Str == "query") {
-    const json::Value *Site = Req.find("site");
-    if (!Site || !Site->isNumber())
-      return errorResp("bad_request", "query: missing numeric field 'site'");
+    std::optional<uint64_t> Site =
+        uintField(Req, "site", std::numeric_limits<SiteId>::max());
+    if (!Site)
+      return errorResp("bad_request",
+                       "query: field 'site' must be an integer in [0, 2^32)");
     Latency = "serve.query_latency_us";
-    SiteId S = static_cast<SiteId>(Site->asU64());
+    SiteId S = static_cast<SiteId>(*Site);
     json::Value R = makeObj();
     put(R, "ok", json::Value::boolean(true));
     put(R, "site", json::Value::u64(S));
-    put(R, "verdict", json::Value::str(verdictName(E.verdict(S))));
+    put(R, "verdict", json::Value::str(tsVerdictName(E.verdict(S))));
     put(R, "tracked", json::Value::boolean(E.trackedSite(S)));
     return R;
   }
@@ -184,31 +197,36 @@ json::Value handle(ServeEngine &E, const std::string &Line,
       return errorResp("bad_request", "edit: missing string field 'proc'");
     if (!Body || !Body->isString())
       return errorResp("bad_request", "edit: missing string field 'body'");
+    std::optional<uint64_t> Deadline = deadlineField(Req);
+    if (!Deadline)
+      return badDeadline();
     if (S.shouldShed())
       return shedResp();
     Latency = "serve.edit_latency_us";
-    EditResult R = E.applyEdit(Proc->Str, Body->Str, deadlineField(Req));
+    EditResult R = E.applyEdit(Proc->Str, Body->Str, *Deadline);
     S.noteEdit(R);
     return editResp(R);
   }
 
   if (Op->Str == "fuzz_edit") {
-    const json::Value *Seed = Req.find("seed");
-    const json::Value *K = Req.find("k");
-    if (!Seed || !Seed->isNumber())
-      return errorResp("bad_request",
-                       "fuzz_edit: missing numeric field 'seed'");
-    if (!K || !K->isNumber())
-      return errorResp("bad_request",
-                       "fuzz_edit: missing numeric field 'k'");
+    std::optional<uint64_t> Seed = uintField(Req, "seed");
+    std::optional<uint64_t> K = uintField(Req, "k");
+    if (!Seed)
+      return errorResp("bad_request", "fuzz_edit: field 'seed' must be a "
+                                      "non-negative integer");
+    if (!K)
+      return errorResp("bad_request", "fuzz_edit: field 'k' must be a "
+                                      "non-negative integer");
+    std::optional<uint64_t> Deadline = deadlineField(Req);
+    if (!Deadline)
+      return badDeadline();
     if (S.shouldShed())
       return shedResp();
-    std::optional<FuzzEdit> FE =
-        makeFuzzEdit(E.programText(), Seed->asU64(), K->asU64());
+    std::optional<FuzzEdit> FE = makeFuzzEdit(E.programText(), *Seed, *K);
     if (!FE)
       return errorResp("bad_request",
                        "fuzz_edit: program has no editable command");
-    EditResult R = E.applyEdit(FE->ProcName, FE->Body, deadlineField(Req));
+    EditResult R = E.applyEdit(FE->ProcName, FE->Body, *Deadline);
     S.noteEdit(R);
     json::Value Resp = editResp(R);
     put(Resp, "proc", json::Value::str(FE->ProcName));

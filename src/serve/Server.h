@@ -16,7 +16,9 @@
 /// and the session continues with the next line. EOF or a shutdown
 /// request ends the loop.
 ///
-/// Requests (field order free; unknown fields ignored):
+/// Requests (field order free; unknown fields ignored; the numbers N, S,
+/// K and D must be non-negative integer literals, N below 2^32, or the
+/// request is a bad_request):
 ///   {"op":"query","site":N}      -> {"ok":true,"site":N,
 ///                                    "verdict":"proved|error|unresolved",
 ///                                    "tracked":bool}

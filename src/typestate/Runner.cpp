@@ -16,7 +16,6 @@ tabulationConfig(const SwiftRunConfig &SC) {
   Cfg.K = SC.K;
   Cfg.Theta = SC.Theta;
   Cfg.BuThreads = SC.Threads;
-  Cfg.ObservationManifest = SC.ObservationManifest;
   return Cfg;
 }
 
@@ -72,26 +71,13 @@ TsRunResult runTabulating(const TsContext &Ctx, const SwiftRunConfig &SC,
 } // namespace
 
 TsRunResult swift::runTypestateTd(const TsContext &Ctx, RunLimits Limits) {
-  SwiftRunConfig SC;
-  SC.K = NoBuTrigger;
-  SC.Theta = 1;
-  return runTabulating(Ctx, SC, Limits);
+  return runTabulating(Ctx, SwiftRunConfig{NoBuTrigger, 1, 1}, Limits);
 }
 
 TsRunResult swift::runTypestateSwift(const TsContext &Ctx, uint64_t K,
                                      uint64_t Theta, RunLimits Limits,
                                      unsigned Threads) {
-  SwiftRunConfig SC;
-  SC.K = K;
-  SC.Theta = Theta;
-  SC.Threads = Threads;
-  return runTabulating(Ctx, SC, Limits);
-}
-
-TsRunResult swift::runTypestateSwift(const TsContext &Ctx,
-                                     const SwiftRunConfig &Cfg,
-                                     RunLimits Limits) {
-  return runTabulating(Ctx, Cfg, Limits);
+  return runTabulating(Ctx, SwiftRunConfig{K, Theta, Threads}, Limits);
 }
 
 const char *swift::tsVerdictName(TsVerdict V) {

@@ -74,22 +74,13 @@ TsRunResult runTypestateSwift(const TsContext &Ctx, uint64_t K,
 TsRunResult runTypestateBu(const TsContext &Ctx, RunLimits Limits = {},
                            unsigned Threads = 1);
 
-/// One SWIFT configuration, with every solver knob exposed (the positional
-/// runTypestateSwift overload covers the common ones).
+/// One SWIFT configuration as governed runs and checkpoints carry it: the
+/// K, Theta and Threads arguments of runTypestateSwift.
 struct SwiftRunConfig {
   uint64_t K = 5;
   uint64_t Theta = 2;
   unsigned Threads = 1;
-  /// Collect and serve the observation manifest (exact error reporting for
-  /// summary-served callees). Disabling it is an ablation: value results
-  /// stay coincident with TD, but error sites on paths that diverge inside
-  /// served callees can be missed.
-  bool ObservationManifest = true;
 };
-
-TsRunResult runTypestateSwift(const TsContext &Ctx,
-                              const SwiftRunConfig &Cfg,
-                              RunLimits Limits = {});
 
 //===----------------------------------------------------------------------===//
 // Governed (budget-limited, gracefully degrading) runs

@@ -7,7 +7,9 @@
 #    the real binary (exit 0 on a tiny corpus program);
 #  * --mode=bu without a client domain is rejected with the domain list;
 #  * client domains reject --mem-mb (no governor) and honor --failpoints,
-#    --trace-out and --metrics-out like the typestate domain.
+#    --trace-out and --metrics-out like the typestate domain;
+#  * a --mem-mb whose byte count would not fit in 64 bits exits 2 like any
+#    malformed value, and the largest accepted one caps nothing.
 #
 # Usage: domain_errors.sh <swift-analyze> <swift-difftest> <corpus-dir>
 set -u
@@ -71,6 +73,18 @@ expect_grep "checkpoint rejection explains itself" \
 check "client domain + --mem-mb exits 2" 2 $?
 expect_grep "--mem-mb rejection explains itself" \
   "mem-mb supports only the typestate domain" "$work/out"
+
+# --- --mem-mb is bounded so the cap in bytes cannot wrap ---------------
+ts="$corpus/seed15.swiftir"
+"$analyze" --mem-mb=17592186044416 "$ts" >"$work/out" 2>&1
+check "--mem-mb=2^44 exits 2" 2 $?
+expect_grep "--mem-mb=2^44 is reported" \
+  "invalid --mem-mb value '17592186044416'" "$work/out"
+"$analyze" "$ts" >"$work/plain" 2>&1
+plain_rc=$?
+"$analyze" --mem-mb=17592186044415 "$ts" >"$work/out" 2>&1
+check "--mem-mb=2^44-1 runs like no cap" "$plain_rc" $?
+expect_grep "--mem-mb=2^44-1 completes" ": complete in" "$work/out"
 
 # --- failpoints, trace and metrics apply to client domains too ----------
 "$analyze" --domain=taint --failpoints=bogus "$prog" >"$work/out" 2>&1

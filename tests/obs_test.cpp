@@ -65,12 +65,35 @@ std::atomic<uint64_t> GAllocCount{0};
   throw std::bad_alloc();
 }
 
+// The nothrow forms too: library code (std::stable_sort's temporary
+// buffer) allocates with nothrow new and frees with plain delete, so a
+// replaced delete must never see the default nothrow new's memory.
+[[gnu::noinline]] void *operator new(std::size_t N,
+                                     const std::nothrow_t &) noexcept {
+  GAllocCount.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(N ? N : 1);
+}
+
+[[gnu::noinline]] void *operator new[](std::size_t N,
+                                       const std::nothrow_t &) noexcept {
+  GAllocCount.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(N ? N : 1);
+}
+
 [[gnu::noinline]] void operator delete(void *P) noexcept { std::free(P); }
 [[gnu::noinline]] void operator delete(void *P, std::size_t) noexcept {
   std::free(P);
 }
 [[gnu::noinline]] void operator delete[](void *P) noexcept { std::free(P); }
 [[gnu::noinline]] void operator delete[](void *P, std::size_t) noexcept {
+  std::free(P);
+}
+[[gnu::noinline]] void operator delete(void *P,
+                                       const std::nothrow_t &) noexcept {
+  std::free(P);
+}
+[[gnu::noinline]] void operator delete[](void *P,
+                                         const std::nothrow_t &) noexcept {
   std::free(P);
 }
 
@@ -432,6 +455,20 @@ TEST(JsonTest, IntegersAbove2To53RoundTripExactly) {
   EXPECT_EQ(json::parse("9007199254740993.0").NR,
             json::Value::NumRep::Dbl);
   EXPECT_EQ(json::parse("9e3").NR, json::Value::NumRep::Dbl);
+}
+
+TEST(JsonTest, AsU64SaturatesDoublesOutsideItsRange) {
+  // Casting a double at or above 2^64 to uint64_t is undefined; asU64
+  // clamps instead. 18446744073709551616 (2^64) is a pure-integer lexeme
+  // too wide for the exact path, so it parses as a double.
+  json::Value Huge = json::parse("1e300");
+  EXPECT_EQ(Huge.NR, json::Value::NumRep::Dbl);
+  EXPECT_EQ(Huge.asU64(), UINT64_MAX);
+  json::Value TwoTo64 = json::parse("18446744073709551616");
+  EXPECT_EQ(TwoTo64.NR, json::Value::NumRep::Dbl);
+  EXPECT_EQ(TwoTo64.asU64(), UINT64_MAX);
+  EXPECT_EQ(json::parse("-1e300").asU64(), 0u);
+  EXPECT_EQ(json::parse("1.9").asU64(), 1u);
 }
 
 TEST(JsonTest, RejectsMalformedInput) {

@@ -76,8 +76,7 @@ void solveAndCompare(const TsContext &Ctx, uint64_t Theta,
       [](ProcId) -> const std::unordered_map<TsAbstractState, uint64_t> * {
         return nullptr;
       },
-      Out->Bud, Out->Stat, DefaultMaxRelsPerPoint,
-      /*CollectObservations=*/true, Threads);
+      Out->Bud, Out->Stat, DefaultMaxRelsPerPoint, Threads);
   std::vector<ProcId> All =
       Ctx.callGraph().reachableFrom(Ctx.program().mainProc());
   ASSERT_TRUE(Out->S->run(All)) << "budget exhausted";

@@ -385,6 +385,26 @@ TEST(PersistCorpusTest, LoadableCheckpointsReencodeByteForByte) {
   }
 }
 
+/// Resumes \p PC, a checkpoint of a run on seed15.swiftir, without
+/// limits and expects the uninterrupted run's error sites (seed15 reaches
+/// one) and main-exit states.
+void expectResumeMatchesUninterrupted(const ParsedCheckpoint &PC) {
+  TsContext Ctx(*PC.Prog,
+                PC.Prog->symbols().intern(PC.Checkpoint.TrackedClass));
+  GovernedRunOptions RO;
+  RO.Config = PC.Checkpoint.Config;
+  RO.ResumeFrom = &PC.Checkpoint.Snapshot;
+  TsGovernedResult Resumed = runTypestateGoverned(Ctx, RO);
+  GovernedRunOptions FO;
+  FO.Config = PC.Checkpoint.Config;
+  TsGovernedResult Full = runTypestateGoverned(Ctx, FO);
+  ASSERT_FALSE(Resumed.Partial);
+  ASSERT_FALSE(Full.Partial);
+  EXPECT_FALSE(Full.Run.ErrorSites.empty());
+  EXPECT_EQ(Resumed.Run.ErrorSites, Full.Run.ErrorSites);
+  EXPECT_EQ(Resumed.Run.MainExit, Full.Run.MainExit);
+}
+
 TEST(PersistCorpusTest, AsyncCheckpointResumesSynchronously) {
   // Written by swift-analyze --mode=swift --k=0 --async --steps=100 on
   // seed15.swiftir while asynchronous bottom-up runs still existed, so
@@ -400,20 +420,38 @@ TEST(PersistCorpusTest, AsyncCheckpointResumesSynchronously) {
 
   // The snapshot holds only top-down state, so it resumes synchronously
   // to the uninterrupted run's results.
-  TsContext Ctx(*PC.Prog,
-                PC.Prog->symbols().intern(PC.Checkpoint.TrackedClass));
-  GovernedRunOptions RO;
-  RO.Config = PC.Checkpoint.Config;
-  RO.ResumeFrom = &PC.Checkpoint.Snapshot;
-  TsGovernedResult Resumed = runTypestateGoverned(Ctx, RO);
-  GovernedRunOptions FO;
-  FO.Config = PC.Checkpoint.Config;
-  TsGovernedResult Full = runTypestateGoverned(Ctx, FO);
-  ASSERT_FALSE(Resumed.Partial);
-  ASSERT_FALSE(Full.Partial);
-  EXPECT_FALSE(Full.Run.ErrorSites.empty()); // seed15 reaches an error
-  EXPECT_EQ(Resumed.Run.ErrorSites, Full.Run.ErrorSites);
-  EXPECT_EQ(Resumed.Run.MainExit, Full.Run.MainExit);
+  expectResumeMatchesUninterrupted(PC);
+}
+
+TEST(PersistCorpusTest, ManifestZeroCheckpointResumesWithTheManifest) {
+  // Runs without the observation manifest wrote "manifest 0"; that mode
+  // is gone. async-v2 is the corpus's hybrid (k=0, theta=2) checkpoint;
+  // with its config line rewritten to "manifest 0" it still loads (the
+  // field is range-checked but selects nothing), re-encoding writes
+  // "manifest 1" and changes nothing else, and it resumes with the
+  // manifest.
+  std::string Bytes = corpusBytes("async-v2.swiftckpt");
+  const std::string Payload(frame::decode("swift-ckpt v2 ", Bytes));
+  const std::string Fields = " manifest 1 async 1 ";
+  size_t At = Payload.find(Fields);
+  ASSERT_NE(At, std::string::npos);
+  auto WithConfig = [&](const char *NewFields) {
+    return std::string(Payload).replace(At, Fields.size(), NewFields);
+  };
+  ParsedCheckpoint PC = parseCheckpointFile(
+      frameCheckpointV2(WithConfig(" manifest 0 async 1 ")));
+  EXPECT_EQ(checkpointToText(*PC.Prog, PC.Checkpoint),
+            WithConfig(" manifest 1 async 0 "));
+  expectResumeMatchesUninterrupted(PC);
+
+  // The field is still a flag: anything but 0 or 1 is corrupt.
+  try {
+    (void)parseCheckpointFile(
+        frameCheckpointV2(WithConfig(" manifest 2 async 1 ")));
+    ADD_FAILURE() << "manifest 2 accepted";
+  } catch (const LoadError &E) {
+    EXPECT_EQ(E.kind(), LoadErrorKind::Corrupt) << E.what();
+  }
 }
 
 //===----------------------------------------------------------------------===//

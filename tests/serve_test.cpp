@@ -360,6 +360,42 @@ TEST(ServeServer, ProtocolSessionSurvivesMalformedRequests) {
   EXPECT_FALSE(std::getline(Lines, L)) << "served past shutdown: " << L;
 }
 
+TEST(ServeServer, NonIntegerNumbersAreBadRequests) {
+  ServeEngine E(DiamondText, EngineOptions());
+  ASSERT_TRUE(E.solveInitial().Ok);
+  // Each of these once named another site (or, for 1e300, was an
+  // undefined double-to-integer cast); the fuzz_edit and deadline values
+  // once ran as seed 0, k 1 and a 1 ms deadline.
+  const char *Bad[] = {
+      R"({"op":"query","site":4294967296})",
+      R"({"op":"query","site":-1})",
+      R"({"op":"query","site":1e300})",
+      R"({"op":"query","site":1.9})",
+      R"({"op":"query","site":"1"})",
+      R"({"op":"fuzz_edit","seed":-3,"k":1})",
+      R"({"op":"fuzz_edit","seed":3,"k":1.5})",
+      R"({"op":"fuzz_edit","seed":3,"k":1,"deadline_ms":1.5})",
+      R"({"op":"edit","proc":"g","body":"","deadline_ms":-1})",
+  };
+  for (const char *Req : Bad) {
+    std::istringstream In(std::string(Req) + "\n");
+    std::ostringstream Out;
+    EXPECT_EQ(serveLines(E, In, Out), 0);
+    EXPECT_NE(Out.str().find("\"code\":\"bad_request\""), std::string::npos)
+        << Req << " -> " << Out.str();
+  }
+  // Rejected requests applied nothing; the edges of the range still
+  // answer.
+  std::istringstream In("{\"op\":\"query\",\"site\":1}\n"
+                        "{\"op\":\"query\",\"site\":4294967295}\n");
+  std::ostringstream Out;
+  EXPECT_EQ(serveLines(E, In, Out), 0);
+  EXPECT_EQ(Out.str(),
+            "{\"ok\":true,\"site\":1,\"verdict\":\"error\",\"tracked\":true}\n"
+            "{\"ok\":true,\"site\":4294967295,\"verdict\":\"proved\","
+            "\"tracked\":false}\n");
+}
+
 TEST(ServeServer, EditThroughTheProtocolUpdatesVerdicts) {
   ServeEngine E(DiamondText, EngineOptions());
   ASSERT_TRUE(E.solveInitial().Ok);

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Validates a "swift-bench" v1 result file emitted by --json-out.
 
-Schema checks (CI's perf-gate job runs this on fresh bench_table2 /
-bench_microops results before handing them to swift-benchdiff; see
+Schema checks (CI's perf-gate job runs this on fresh bench_table2,
+bench_microops and bench_ablation results before handing bench_table2's
+to swift-benchdiff; see
 .github/workflows/ci.yml and src/obs/BenchResult.h):
   * the file parses as JSON with format "swift-bench" and version 1;
   * "bench" is a non-empty string; "context", when present, is an object

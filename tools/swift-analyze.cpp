@@ -164,7 +164,8 @@ bool parseArgs(int Argc, char **Argv, ToolOptions &O, std::string &Err) {
         return false;
       }
     } else if (cli::matchValueFlag(A, "--mem-mb=", V)) {
-      if (!cli::parseU64(V, O.MemMb) || O.MemMb == 0) {
+      // At most UINT64_MAX >> 20, so the cap in bytes cannot wrap.
+      if (!cli::parseU64(V, O.MemMb, UINT64_MAX >> 20) || O.MemMb == 0) {
         Err = "invalid --mem-mb value '" + std::string(V) + "'";
         return false;
       }

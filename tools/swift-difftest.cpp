@@ -7,8 +7,8 @@
 /// \file
 /// swift-difftest — differential-testing driver. Fuzzes programs, runs
 /// the domain's concrete witness as ground truth plus the oracle's table
-/// of analysis modes (TD / pure BU / SWIFT at several (k, theta), thread
-/// counts, manifest on/off; difftest/Oracle.h), checks soundness and the
+/// of analysis modes (TD / pure BU / SWIFT at several (k, theta) and
+/// thread counts; difftest/Oracle.h), checks soundness and the
 /// paper's coincidence guarantees, and on a mismatch delta-debugs the
 /// program to a small reproducer.
 ///
