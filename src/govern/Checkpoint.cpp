@@ -12,8 +12,8 @@
 #include "support/AtomicFile.h"
 #include "support/CliParse.h"
 #include "support/Frame.h"
+#include "typestate/TextCodec.h"
 
-#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 
@@ -21,10 +21,10 @@ using namespace swift;
 
 namespace {
 
-[[noreturn]] void fail(size_t Line, const std::string &Msg) {
-  throw std::runtime_error("swift-ckpt line " + std::to_string(Line) + ": " +
-                           Msg);
-}
+constexpr std::string_view MagicV1 = "swift-ckpt v1";
+constexpr std::string_view MagicV2 = "swift-ckpt v2 ";
+/// The format every payload error is reported under.
+constexpr std::string_view Format = "swift-ckpt";
 
 void printState(std::ostream &OS, const TsAbstractState &S,
                 const Program &Prog, const TypestateSpec &Spec) {
@@ -33,69 +33,55 @@ void printState(std::ostream &OS, const TsAbstractState &S,
     return;
   }
   const SymbolTable &Syms = Prog.symbols();
-  OS << "s " << S.site() << ' ' << Syms.text(Spec.stateName(S.tstate()))
-     << ' ' << S.must().size();
-  for (const AccessPath &P : S.must())
-    OS << ' ' << P.str(Syms);
-  OS << ' ' << S.mustNot().size();
-  for (const AccessPath &P : S.mustNot())
-    OS << ' ' << P.str(Syms);
-  OS << '\n';
+  TokenWriter W;
+  W.tok("s");
+  W.num(S.site());
+  W.tok(Syms.text(Spec.stateName(S.tstate())));
+  writeApSet(W, Syms, S.must());
+  writeApSet(W, Syms, S.mustNot());
+  OS << W.take();
 }
 
-/// A decimal field no greater than \p Max (strict: digits only).
-uint64_t num(std::string_view T, size_t Line, uint64_t Max = UINT64_MAX) {
-  uint64_t V = 0;
-  if (!cli::parseU64(T, V, Max))
-    fail(Line, "expected a number" +
-                   (Max == UINT64_MAX ? "" : " <= " + std::to_string(Max)) +
-                   ", got '" + std::string(T) + "'");
-  return V;
-}
-
-/// Line-oriented reader over the checkpoint text.
-struct Reader {
-  std::string_view Text;
-  size_t Pos = 0;
-  size_t Line = 0;
-
-  /// Next raw line (no skipping) — used inside the verbatim program block.
-  bool nextRaw(std::string_view &Out) {
-    if (Pos >= Text.size())
-      return false;
-    size_t End = std::min(Text.find('\n', Pos), Text.size());
-    Out = Text.substr(Pos, End - Pos);
-    Pos = End + 1;
-    ++Line;
-    if (!Out.empty() && Out.back() == '\r')
-      Out.remove_suffix(1);
-    return true;
-  }
-
-  /// Next line, '#' comments and blank lines skipped.
-  bool next(std::string_view &Out) {
-    while (nextRaw(Out)) {
-      size_t First = Out.find_first_not_of(" \t");
-      if (First != std::string_view::npos && Out[First] != '#')
-        return true;
-    }
-    return false;
-  }
-};
-
-ProcId procByName(Program &Prog, std::string_view Name, size_t Line) {
+ProcId procByName(const frame::Cursor &R, Program &Prog,
+                  std::string_view Name) {
   ProcId P = Prog.procId(Prog.symbols().intern(Name));
   if (P == InvalidProc)
-    fail(Line, "unknown procedure '" + std::string(Name) + "'");
+    R.fail("unknown procedure '" + std::string(Name) + "'");
   return P;
 }
 
-TState stateByName(const TypestateSpec &Spec, const SymbolTable &Syms,
-                   std::string_view Name, size_t Line) {
+TState stateByName(const frame::Cursor &R, const TypestateSpec &Spec,
+                   const SymbolTable &Syms, std::string_view Name) {
   for (size_t T = 0; T != Spec.numStates(); ++T)
     if (Syms.text(Spec.stateName(static_cast<TState>(T))) == Name)
       return static_cast<TState>(T);
-  fail(Line, "unknown typestate '" + std::string(Name) + "'");
+  R.fail("unknown typestate '" + std::string(Name) + "'");
+}
+
+/// A section header "<Name> <n>". Every row costs at least two bytes of
+/// input, so a count beyond half the rest of the payload is a mutation:
+/// it fails here, before anything reserves for it.
+uint64_t sectionCount(frame::Cursor &R, std::string_view Name) {
+  std::string_view Field = R.fields(Name, 2)[1];
+  uint64_t N = R.dec(Field);
+  if (N > R.remaining() / 2 + 1)
+    R.fail(std::string(Name) + " count " + std::string(Field) +
+           " exceeds the remaining input size");
+  return N;
+}
+
+/// A row of variable width: a cursor over the next line, past its tag.
+frame::Cursor row(frame::Cursor &R, std::string_view Tag) {
+  frame::Cursor Row(R.line(), Format);
+  Row.expect(Tag);
+  return Row;
+}
+
+/// Rejects anything left on \p Row after its last field.
+void endRow(frame::Cursor &Row) {
+  Row.skipSpace();
+  if (!Row.atEnd())
+    Row.fail("trailing tokens on row");
 }
 
 /// Spec lookup by class name that works on a const Program (no interning).
@@ -182,252 +168,179 @@ std::string swift::checkpointToText(const Program &Prog,
 }
 
 ParsedCheckpoint swift::parseCheckpointText(std::string_view Text) {
-  Reader R{Text};
-  std::string_view L;
-
-  if (!R.next(L) || L != "swift-ckpt v1")
-    fail(R.Line, "expected 'swift-ckpt v1' header");
+  frame::Cursor R(Text, Format);
+  if (R.line() != MagicV1)
+    R.fail("expected 'swift-ckpt v1' header");
 
   ParsedCheckpoint PC;
   TsCheckpoint &C = PC.Checkpoint;
-
-  if (!R.next(L))
-    fail(R.Line, "unexpected end of file");
+  C.TrackedClass = std::string(R.fields("tracked", 2)[1]);
   {
-    std::vector<std::string_view> T = frame::split(L);
-    if (T.size() != 2 || T[0] != "tracked")
-      fail(R.Line, "expected 'tracked <class>'");
-    C.TrackedClass = std::string(T[1]);
-  }
-
-  if (!R.next(L))
-    fail(R.Line, "unexpected end of file");
-  {
-    std::vector<std::string_view> T = frame::split(L);
+    std::vector<std::string_view> T = frame::split(R.line());
     if (T.size() != 11 || T[0] != "config" || T[1] != "k" ||
         T[3] != "theta" || T[5] != "manifest" || T[7] != "async" ||
         T[9] != "threads")
-      fail(R.Line, "malformed config line");
-    C.Config.K = T[2] == "td" ? NoBuTrigger : num(T[2], R.Line);
-    C.Config.Theta = num(T[4], R.Line);
+      R.fail("malformed config line");
+    C.Config.K = T[2] == "td" ? NoBuTrigger : R.dec(T[2]);
+    // The same range swift-analyze --theta accepts.
+    C.Config.Theta = R.dec(T[4]);
+    if (C.Config.Theta == 0)
+      R.fail("theta must be at least 1");
     // manifest 0 and async 1 were written by runs without the observation
     // manifest and with asynchronous bottom-up, modes that no longer
     // exist. The snapshot holds no bottom-up state, so such a checkpoint
     // resumes with the manifest, synchronously; both fields are still
     // range-checked.
-    (void)num(T[6], R.Line, 1);
-    (void)num(T[8], R.Line, 1);
+    (void)R.dec(T[6], 1);
+    (void)R.dec(T[8], 1);
     // The same range swift-analyze --threads accepts.
     if (!cli::parseUnsigned(T[10], C.Config.Threads, 1, 1024))
-      fail(R.Line, "threads must be in [1, 1024], got '" +
-                       std::string(T[10]) + "'");
+      R.fail("threads must be in [1, 1024], got '" + std::string(T[10]) +
+             "'");
   }
+  C.StepsConsumed = R.dec(R.fields("steps", 2)[1]);
 
-  if (!R.next(L))
-    fail(R.Line, "unexpected end of file");
-  {
-    std::vector<std::string_view> T = frame::split(L);
-    if (T.size() != 2 || T[0] != "steps")
-      fail(R.Line, "expected 'steps <n>'");
-    C.StepsConsumed = num(T[1], R.Line);
-  }
-
-  if (!R.next(L) || L != "program begin")
-    fail(R.Line, "expected 'program begin'");
+  if (R.line() != "program begin")
+    R.fail("expected 'program begin'");
   std::string ProgText;
-  for (;;) {
-    if (!R.nextRaw(L))
-      fail(R.Line, "unterminated program block");
-    if (L == "program end")
-      break;
+  for (std::string_view L = R.line(); L != "program end"; L = R.line()) {
     ProgText += L;
     ProgText += '\n';
   }
-  PC.Prog = parseProgramText(ProgText);
+  try {
+    PC.Prog = parseProgramText(ProgText);
+  } catch (const std::exception &E) {
+    R.fail(std::string("embedded program does not parse: ") + E.what());
+  }
   Program &Prog = *PC.Prog;
   const TypestateSpec *Spec =
       Prog.specFor(Prog.symbols().intern(C.TrackedClass));
   if (!Spec)
-    fail(R.Line, "program has no spec for tracked class '" +
-                     C.TrackedClass + "'");
-
-  auto expectSection = [&](const char *Name) -> uint64_t {
-    if (!R.next(L))
-      fail(R.Line, std::string("expected '") + Name + " <n>'");
-    std::vector<std::string_view> T = frame::split(L);
-    if (T.size() != 2 || T[0] != Name)
-      fail(R.Line, std::string("expected '") + Name + " <n>', got '" +
-                       std::string(L) + "'");
-    uint64_t N = num(T[1], R.Line);
-    // Sanity limit before any reserve: every row costs at least two
-    // bytes of input, so a count beyond half the remaining text is a
-    // mutation — fail fast instead of allocating for it.
-    size_t Remaining = Text.size() - std::min(R.Pos, Text.size());
-    if (N > Remaining / 2 + 1)
-      fail(R.Line, std::string(Name) + " count " + std::string(T[1]) +
-                       " exceeds the remaining input size");
-    return N;
-  };
-  auto row = [&](const char *Tag,
-                 size_t MinToks) -> std::vector<std::string_view> {
-    if (!R.next(L))
-      fail(R.Line, std::string("unexpected end of '") + Tag + "' row");
-    std::vector<std::string_view> T = frame::split(L);
-    if (T.size() < MinToks || T[0] != Tag)
-      fail(R.Line, std::string("malformed '") + Tag + "' row: '" +
-                       std::string(L) + "'");
-    return T;
-  };
+    R.fail("program has no spec for tracked class '" + C.TrackedClass + "'");
 
   TsTabSnapshot &S = C.Snapshot;
   S.StepsConsumed = C.StepsConsumed;
 
-  uint64_t N = expectSection("states");
+  uint64_t N = sectionCount(R, "states");
   S.States.reserve(N);
   for (uint64_t I = 0; I != N; ++I) {
-    std::vector<std::string_view> T = row("s", 2);
-    if (T[1] == "L") {
-      if (T.size() != 2)
-        fail(R.Line, "trailing tokens on Lambda state");
+    frame::Cursor Row = row(R, "s");
+    std::string_view Site = Row.token();
+    if (Site == "L") {
       S.States.push_back(TsAbstractState::lambda());
-      continue;
+    } else {
+      TState T = stateByName(Row, *Spec, Prog.symbols(), Row.token());
+      S.States.push_back(readStatePaths(Row, Prog, Row.dec(Site), T));
     }
-    if (T.size() < 4)
-      fail(R.Line, "truncated state row");
-    uint64_t Site = num(T[1], R.Line);
-    if (Site >= Prog.numSites())
-      fail(R.Line, "allocation site out of range");
-    TState TS = stateByName(*Spec, Prog.symbols(), T[2], R.Line);
-    size_t Idx = 3;
-    auto readPaths = [&]() -> ApSet {
-      if (Idx >= T.size())
-        fail(R.Line, "truncated state row");
-      uint64_t Count = num(T[Idx++], R.Line);
-      std::vector<AccessPath> Paths;
-      for (uint64_t K = 0; K != Count; ++K) {
-        if (Idx >= T.size())
-          fail(R.Line, "truncated access-path list");
-        std::optional<AccessPath> P =
-            AccessPath::parse(T[Idx], Prog.symbols());
-        if (!P)
-          fail(R.Line, "malformed access path '" + std::string(T[Idx]) + "'");
-        Paths.push_back(*P);
-        ++Idx;
-      }
-      return ApSet(std::move(Paths));
-    };
-    ApSet Must = readPaths();
-    ApSet MustNot = readPaths();
-    if (Idx != T.size())
-      fail(R.Line, "trailing tokens on state row");
-    S.States.push_back(TsAbstractState(static_cast<SiteId>(Site), TS,
-                                       std::move(Must),
-                                       std::move(MustNot)));
+    endRow(Row);
   }
   auto checkStateId = [&](uint64_t Id) -> uint32_t {
     if (Id >= S.States.size())
-      fail(R.Line, "state id out of range");
+      R.fail("state id out of range");
     return static_cast<uint32_t>(Id);
   };
   auto checkNode = [&](ProcId P, uint64_t Node) -> NodeId {
     if (Node >= Prog.proc(P).numNodes())
-      fail(R.Line, "node id out of range");
+      R.fail("node id out of range");
     return static_cast<NodeId>(Node);
   };
+  // Only the Lambda entry reaches the Lambda state; the solver asserts
+  // that no path edge or summary of another entry does.
+  auto checkReach = [&](uint32_t Entry, uint32_t Cur) {
+    if (!S.States[Entry].isLambda() && S.States[Cur].isLambda())
+      R.fail("a non-Lambda entry reaches the Lambda state");
+  };
 
-  N = expectSection("edges");
+  N = sectionCount(R, "edges");
   S.Edges.reserve(N);
   for (uint64_t I = 0; I != N; ++I) {
-    std::vector<std::string_view> T = row("e", 5);
-    ProcId P = procByName(Prog, T[1], R.Line);
-    S.Edges.push_back({P, checkNode(P, num(T[2], R.Line)),
-                       checkStateId(num(T[3], R.Line)),
-                       checkStateId(num(T[4], R.Line))});
+    std::vector<std::string_view> T = R.fields("e", 5);
+    ProcId P = procByName(R, Prog, T[1]);
+    S.Edges.push_back({P, checkNode(P, R.dec(T[2])),
+                       checkStateId(R.dec(T[3])), checkStateId(R.dec(T[4]))});
+    checkReach(S.Edges.back().Entry, S.Edges.back().Cur);
   }
 
-  N = expectSection("work");
+  N = sectionCount(R, "work");
   S.Work.reserve(N);
   for (uint64_t I = 0; I != N; ++I) {
-    std::vector<std::string_view> T = row("w", 5);
-    ProcId P = procByName(Prog, T[1], R.Line);
-    S.Work.push_back({P, checkNode(P, num(T[2], R.Line)),
-                      checkStateId(num(T[3], R.Line)),
-                      checkStateId(num(T[4], R.Line))});
+    std::vector<std::string_view> T = R.fields("w", 5);
+    ProcId P = procByName(R, Prog, T[1]);
+    S.Work.push_back({P, checkNode(P, R.dec(T[2])),
+                      checkStateId(R.dec(T[3])), checkStateId(R.dec(T[4]))});
+    checkReach(S.Work.back().Entry, S.Work.back().Cur);
   }
 
-  N = expectSection("summaries");
+  N = sectionCount(R, "summaries");
   S.Summaries.reserve(N);
   for (uint64_t I = 0; I != N; ++I) {
-    std::vector<std::string_view> T = row("y", 4);
-    TsTabSnapshot::SummaryRow Row;
-    Row.Proc = procByName(Prog, T[1], R.Line);
-    Row.Entry = checkStateId(num(T[2], R.Line));
-    uint64_t NumExits = num(T[3], R.Line);
-    // Bound before the arithmetic below: a near-2^64 count would wrap
-    // 4 + NumExits and walk T out of bounds.
-    if (NumExits > T.size() || T.size() != 4 + NumExits)
-      fail(R.Line, "summary exit count mismatch");
-    for (uint64_t K = 0; K != NumExits; ++K)
-      Row.Exits.push_back(checkStateId(num(T[4 + K], R.Line)));
-    S.Summaries.push_back(std::move(Row));
+    frame::Cursor Row = row(R, "y");
+    TsTabSnapshot::SummaryRow Y;
+    Y.Proc = procByName(Row, Prog, Row.token());
+    Y.Entry = checkStateId(Row.number());
+    uint64_t NumExits = Row.count();
+    for (uint64_t K = 0; K != NumExits; ++K) {
+      Y.Exits.push_back(checkStateId(Row.number()));
+      checkReach(Y.Entry, Y.Exits.back());
+    }
+    endRow(Row);
+    S.Summaries.push_back(std::move(Y));
   }
 
-  N = expectSection("deps");
+  N = sectionCount(R, "deps");
   S.Dependents.reserve(N);
   for (uint64_t I = 0; I != N; ++I) {
-    std::vector<std::string_view> T = row("d", 7);
+    std::vector<std::string_view> T = R.fields("d", 7);
     TsTabSnapshot::DependentRow D;
-    D.Callee = procByName(Prog, T[1], R.Line);
-    D.Entry = checkStateId(num(T[2], R.Line));
-    D.CallerProc = procByName(Prog, T[3], R.Line);
-    D.CallNode = checkNode(D.CallerProc, num(T[4], R.Line));
-    D.CallerEntry = checkStateId(num(T[5], R.Line));
-    D.Frame = checkStateId(num(T[6], R.Line));
+    D.Callee = procByName(R, Prog, T[1]);
+    D.Entry = checkStateId(R.dec(T[2]));
+    D.CallerProc = procByName(R, Prog, T[3]);
+    D.CallNode = checkNode(D.CallerProc, R.dec(T[4]));
+    D.CallerEntry = checkStateId(R.dec(T[5]));
+    D.Frame = checkStateId(R.dec(T[6]));
     S.Dependents.push_back(D);
   }
 
-  N = expectSection("incoming");
+  N = sectionCount(R, "incoming");
   S.Incoming.reserve(N);
   for (uint64_t I = 0; I != N; ++I) {
-    std::vector<std::string_view> T = row("i", 4);
-    ProcId P = procByName(Prog, T[1], R.Line);
-    S.Incoming.push_back(
-        {P, checkStateId(num(T[2], R.Line)), num(T[3], R.Line)});
+    std::vector<std::string_view> T = R.fields("i", 4);
+    ProcId P = procByName(R, Prog, T[1]);
+    S.Incoming.push_back({P, checkStateId(R.dec(T[2])), R.dec(T[3])});
   }
 
-  N = expectSection("evercalled");
+  N = sectionCount(R, "evercalled");
   S.EverCalled.assign(Prog.numProcs(), 0);
   if (N != Prog.numProcs())
-    fail(R.Line, "evercalled count does not match procedure count");
+    R.fail("evercalled count does not match procedure count");
   for (uint64_t I = 0; I != N; ++I) {
-    std::vector<std::string_view> T = row("c", 3);
-    ProcId P = procByName(Prog, T[1], R.Line);
-    S.EverCalled[P] = num(T[2], R.Line, 1) != 0 ? 1 : 0;
+    std::vector<std::string_view> T = R.fields("c", 3);
+    ProcId P = procByName(R, Prog, T[1]);
+    S.EverCalled[P] = R.dec(T[2], 1) != 0 ? 1 : 0;
   }
 
-  N = expectSection("observed");
+  N = sectionCount(R, "observed");
   S.Observed.reserve(N);
   for (uint64_t I = 0; I != N; ++I) {
-    std::vector<std::string_view> T = row("o", 4);
-    ProcId P = procByName(Prog, T[1], R.Line);
-    S.Observed.push_back({P, checkNode(P, num(T[2], R.Line)),
-                          checkStateId(num(T[3], R.Line))});
+    std::vector<std::string_view> T = R.fields("o", 4);
+    ProcId P = procByName(R, Prog, T[1]);
+    NodeId Node = checkNode(P, R.dec(T[2]));
+    uint32_t Id = checkStateId(R.dec(T[3]));
+    // The manifest observes only states in the tracked spec's error
+    // state; the verdict read-out asserts it.
+    if (S.States[Id].isLambda() || S.States[Id].tstate() != Spec->errorState())
+      R.fail("observed state is not an error state");
+    S.Observed.push_back({P, Node, Id});
   }
 
-  if (R.next(L))
-    fail(R.Line, "trailing content after checkpoint: '" + std::string(L) +
-                     "'");
+  if (!R.atEnd())
+    R.fail("trailing content after checkpoint");
   return PC;
 }
 
 //===----------------------------------------------------------------------===//
 // v2 file framing (support/Frame.h) around the v1 payload
 //===----------------------------------------------------------------------===//
-
-namespace {
-constexpr std::string_view MagicV1 = "swift-ckpt v1";
-constexpr std::string_view MagicV2 = "swift-ckpt v2 ";
-} // namespace
 
 std::string swift::frameCheckpointV2(std::string_view Payload) {
   return frame::encode(MagicV2, Payload);
@@ -436,17 +349,7 @@ std::string swift::frameCheckpointV2(std::string_view Payload) {
 ParsedCheckpoint swift::parseCheckpointFile(std::string_view Text) {
   // Legacy bare v1: the whole file is the payload, no framing to check.
   bool Legacy = Text.substr(0, MagicV1.size()) == MagicV1;
-  std::string_view Payload = Legacy ? Text : frame::decode(MagicV2, Text);
-  try {
-    return parseCheckpointText(Payload);
-  } catch (const std::exception &E) {
-    // A v2 frame validated but the payload does not parse: a producer
-    // bug or a collision-rate event, not a torn file.
-    throw LoadError(LoadErrorKind::Corrupt, frame::family(MagicV2),
-                    std::string(Legacy ? "invalid v1 checkpoint: "
-                                       : "invalid v2 payload: ") +
-                        E.what());
-  }
+  return parseCheckpointText(Legacy ? Text : frame::decode(MagicV2, Text));
 }
 
 void swift::saveCheckpointFile(const std::string &Path, const Program &Prog,
@@ -456,6 +359,5 @@ void swift::saveCheckpointFile(const std::string &Path, const Program &Prog,
 }
 
 ParsedCheckpoint swift::loadCheckpointFile(const std::string &Path) {
-  return parseCheckpointFile(
-      frame::readFile(frame::family(MagicV2), Path, "ckpt.load"));
+  return parseCheckpointFile(frame::readFile(Format, Path, "ckpt.load"));
 }

@@ -27,6 +27,16 @@
 /// parse; allocation-site and CFG-node ids are numeric because
 /// parseProgramText reproduces them exactly.
 ///
+/// The payload is read line by line with frame::Cursor, the reader the
+/// store, spool and journal use, and a state row's access-path sets go
+/// through the typestate text codec (typestate/TextCodec.h). Blank
+/// lines, '#' comment lines and CRLF line endings are malformed. A parse
+/// error names what is wrong but not its line: the cursor tracks no line
+/// numbers, and nothing needs them. Besides the grammar, the loader
+/// rejects rows the solver would assert on when resumed: an observed
+/// state that is not the tracked spec's error state, and a path edge,
+/// work row or summary that leads a non-Lambda entry to the Lambda state.
+///
 /// The resume guarantee (enforced by the checkpoint-resume oracle in
 /// src/difftest): for a pure top-down run, save(exhausted run) -> load ->
 /// resume with a sufficient budget yields results bit-identical to an
@@ -72,9 +82,9 @@ struct ParsedCheckpoint {
 };
 
 /// Parses bare swift-ckpt v1 text (the v2 payload). Throws
-/// std::runtime_error with a line number on malformed input. Section
-/// counts are sanity-checked against the remaining input size, so a
-/// mutated count fails fast instead of reserving absurd memory.
+/// LoadError(Corrupt) on malformed input. Section counts are
+/// sanity-checked against the remaining input size, so a mutated count
+/// fails fast instead of reserving absurd memory.
 ParsedCheckpoint parseCheckpointText(std::string_view Text);
 
 /// Frames v1 payload text as a swift-ckpt v2 file image.

@@ -25,12 +25,13 @@
 /// fingerprint changed; the invalidated set is their upward closure over
 /// the recorded dependency edges (edges within a call-graph SCC are
 /// cyclic, so SCCs invalidate atomically). Every retained summary is
-/// translated into the new program's symbol vocabulary through the store
-/// codec, installed into a fresh solver, and only the procedures that are
-/// reachable from main and not still valid are re-run. The fingerprint is
-/// what makes reuse sound: a retained summary's every oracle query is
-/// guaranteed to answer identically in the new program, so it equals what
-/// re-analysis would recompute (inductively, callee-first).
+/// translated into the new program's symbol vocabulary through the
+/// typestate text codec (typestate/TextCodec.h), installed into a fresh
+/// solver, and only the procedures that are reachable from main and not
+/// still valid are re-run. The fingerprint is what makes reuse sound: a
+/// retained summary's every oracle query is guaranteed to answer
+/// identically in the new program, so it equals what re-analysis would
+/// recompute (inductively, callee-first).
 ///
 /// Edits are transactional: a rejected edit (parse error, wrong name,
 /// budget exhaustion under the per-request governor) leaves the engine

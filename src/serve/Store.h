@@ -8,18 +8,10 @@
 /// The warm-start summary store behind swift-serve: a crash-safe on-disk
 /// snapshot of the incremental engine's per-procedure state (body hash,
 /// oracle fingerprint, recorded summary->callee dependency edges, and the
-/// full relational summary), plus the summary text codec the engine also
-/// uses to translate retained summaries across a program edit.
-///
-/// Summaries are symbolic: every variable, field, procedure, and class is
-/// written by *name*, never by Symbol id — a re-parse after an edit interns
-/// symbols in a different order, and the codec's parse side takes the
-/// target Program and re-interns, so decode(encode(S, OldProg), NewProg)
-/// is exactly the old summary expressed in the new program's vocabulary.
-/// Typestate indices and allocation-site ids are written numerically: the
-/// spec block is not editable through procedure replacement, and the
-/// parser's dense-site-id invariant pins every site id across any edit
-/// that parses.
+/// full relational summary). This module owns only the store-file
+/// grammar; each summary is written as the typestate text codec's summary
+/// text (typestate/TextCodec.h), which spells every symbol by name, so a
+/// store loads into the program it embeds.
 ///
 /// A store file is "swift-serve-store v1": the whole-file frame of
 /// support/Frame.h around the payload, written through writeFileAtomic
@@ -34,10 +26,8 @@
 #ifndef SWIFT_SERVE_STORE_H
 #define SWIFT_SERVE_STORE_H
 
-#include "framework/RelationalSolver.h"
 #include "support/Frame.h"
-#include "typestate/Context.h"
-#include "typestate/TsAnalysis.h"
+#include "typestate/TextCodec.h"
 
 #include <memory>
 #include <string>
@@ -46,8 +36,6 @@
 
 namespace swift {
 namespace serve {
-
-using TsSummary = RelationalSolver<TsAnalysis>::Summary;
 
 /// One procedure's persisted incremental state.
 struct StoredProc {
@@ -68,26 +56,6 @@ struct ParsedStore {
   std::string TrackedClass;
   std::vector<StoredProc> Procs;
 };
-
-//===----------------------------------------------------------------------===//
-// Summary text codec
-//===----------------------------------------------------------------------===//
-
-/// Serializes \p S against \p Prog's symbol table (names, not ids).
-std::string summaryToText(const Program &Prog, const TsSummary &S);
-
-/// Parses \p Text, interning every name into \p Prog. Throws
-/// LoadError(Corrupt) on malformed input, names that do not resolve
-/// (procedure names in may-alias constraints must exist in \p Prog), or
-/// typestates outside the tracked spec's \p NumStates states (every iota
-/// maps exactly those states). Relation vectors are re-sorted after
-/// interning: symbol ids order relations, and ids shift across programs.
-TsSummary parseSummaryText(Program &Prog, size_t NumStates,
-                           std::string_view Text);
-
-//===----------------------------------------------------------------------===//
-// Store files
-//===----------------------------------------------------------------------===//
 
 /// Serializes a full store (program text embedded verbatim) and frames
 /// it.

@@ -6,9 +6,9 @@
 
 #include "shard/Sharded.h"
 
-#include "serve/Store.h"
 #include "support/Stats.h"
 #include "support/Timer.h"
+#include "typestate/TextCodec.h"
 
 #include <map>
 
@@ -106,7 +106,7 @@ ShardedResult shard::runShardedInProcess(Program &Prog,
         for (ProcId P : Members)
           Seg.Procs.push_back(
               {Prog.symbols().text(Prog.proc(P).name()),
-               serve::summaryToText(Prog, Solver.summary(P))});
+               summaryToText(Prog, Solver.summary(P))});
         SegBytes[Scc] = encodeSegment(Seg);
       });
       SolveSetup Setup = prepareSolve(Prog, Ctx, Plan, Source, {},

@@ -44,9 +44,9 @@
 namespace swift {
 namespace shard {
 
-/// One procedure's published summary, as symbolic text (the serve-store
-/// codec: names, never symbol ids, so segments are valid across
-/// processes with different interning orders).
+/// One procedure's published summary, as symbolic text (the typestate
+/// text codec, typestate/TextCodec.h: names, never symbol ids, so
+/// segments are valid across processes with different interning orders).
 struct SegmentProc {
   std::string Name;
   std::string SummaryText;

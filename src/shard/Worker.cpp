@@ -9,12 +9,12 @@
 #include "framework/RunDriver.h"
 #include "ir/Dumper.h"
 #include "obs/Trace.h"
-#include "serve/Store.h"
 #include "shard/Spool.h"
 #include "support/AtomicFile.h"
 #include "support/FailPoint.h"
 #include "support/Stats.h"
 #include "support/Timer.h"
+#include "typestate/TextCodec.h"
 
 #include <algorithm>
 #include <map>
@@ -37,16 +37,15 @@ bool tryInstallSegment(Program &Prog, const TsContext &Ctx,
   std::map<std::string, ProcId> Expect;
   for (ProcId P : Members)
     Expect.emplace(Prog.symbols().text(Prog.proc(P).name()), P);
-  std::vector<std::pair<ProcId, serve::TsSummary>> Parsed;
+  std::vector<std::pair<ProcId, TsSummary>> Parsed;
   try {
     for (const SegmentProc &SP : Seg.Procs) {
       auto It = Expect.find(SP.Name);
       if (It == Expect.end())
         return false; // wrong member set
       Parsed.emplace_back(It->second,
-                          serve::parseSummaryText(Prog,
-                                                  Ctx.spec().numStates(),
-                                                  SP.SummaryText));
+                          parseSummaryText(Prog, Ctx.spec().numStates(),
+                                           SP.SummaryText));
       Expect.erase(It);
     }
   } catch (const std::exception &) {
@@ -181,7 +180,7 @@ int shard::runWorker(const WorkerOptions &O, std::string *Err) {
         for (ProcId P : Members)
           Seg.Procs.push_back(
               {Prog.symbols().text(Prog.proc(P).name()),
-               serve::summaryToText(Prog, Solver.summary(P))});
+               summaryToText(Prog, Solver.summary(P))});
         saveSegment(O.SpoolDir, Seg);
       }
       if (!O.SpoolDir.empty())

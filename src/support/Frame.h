@@ -171,6 +171,9 @@ public:
 
   bool atEnd() const { return Pos == Text.size(); }
 
+  /// The number of bytes not yet read.
+  size_t remaining() const { return Text.size() - Pos; }
+
   [[noreturn]] void fail(const std::string &Detail) const;
 
 private:

@@ -96,6 +96,19 @@ expect_grep "signed checkpoint field" "malformed checkpoint" \
   "$work/badfield.err"
 reject_grep "signed checkpoint field" "usage:" "$work/badfield.err"
 
+# 5c. CRC-valid checkpoints whose rows break what the solver asserts (an
+#     observed state that is Lambda or not the error state, a summary or
+#     work row leading a non-Lambda entry to the Lambda state, a path
+#     both must and must-not) or whose theta is 0 -> rejected at load,
+#     exit 2.
+for bad in observed-lambda observed-nonerror summary-lambda-exit \
+           work-lambda-state state-overlap theta-zero; do
+  "$analyze" --resume-from="$corpus/badfield-$bad.swiftckpt" \
+    > /dev/null 2> "$work/$bad.err"
+  check "badfield-$bad" 2 $?
+  expect_grep "badfield-$bad" "malformed checkpoint" "$work/$bad.err"
+done
+
 # 6. Kill failpoint mid-save: exit 85 (injected crash), and the target
 #    checkpoint path must not exist — no torn file.
 rm -f "$work/killed.swiftckpt"

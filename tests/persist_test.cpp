@@ -255,6 +255,25 @@ TEST(PersistFormatTest, DuplicatedSectionWithValidCrcIsCorrupt) {
   EXPECT_EQ(kindOf(frameCheckpointV2(Dup)), LoadErrorKind::Corrupt);
 }
 
+TEST(PersistFormatTest, BlankCommentAndCrlfLinesAreCorrupt) {
+  // The payload is read by the shared frame::Cursor, line for line: no
+  // writer emits a blank line, a '#' comment line or a CRLF line ending,
+  // and a CRC-valid payload with any of them is rejected.
+  const Fixture &F = fixture();
+  size_t At = F.Payload.find("\nedges ");
+  ASSERT_NE(At, std::string::npos);
+  for (const char *Extra : {"\n", "# a comment\n"}) {
+    std::string Mut = F.Payload;
+    Mut.insert(At + 1, Extra);
+    EXPECT_EQ(kindOf(frameCheckpointV2(Mut)), LoadErrorKind::Corrupt)
+        << "inserted '" << Extra << "'";
+  }
+  std::string Crlf;
+  for (char C : F.Payload)
+    Crlf += C == '\n' ? std::string("\r\n") : std::string(1, C);
+  EXPECT_EQ(kindOf(frameCheckpointV2(Crlf)), LoadErrorKind::Corrupt);
+}
+
 TEST(PersistFormatTest, UnsupportedVersionIsVersionMismatch) {
   EXPECT_EQ(kindOf("swift-ckpt v3 12\nfuture stuff\n"),
             LoadErrorKind::VersionMismatch);
@@ -332,8 +351,9 @@ TEST(PersistFuzzTest, FiftySeedsOfMutationsNeverCrashAndClassify) {
 TEST(PersistCorpusTest, ReplaysEveryCheckedInCheckpoint) {
   // File-name prefixes encode the expected outcome: good-*, legacy-* and
   // async-* load; truncated-*, bitflip-*, dup-*, badfield-* (a field
-  // outside its grammar: a signed number, an out-of-range thread count),
-  // badversion-* raise the matching typed error.
+  // outside its grammar: a signed number, an out-of-range thread count,
+  // theta 0, a row that breaks what the solver asserts), badversion-*
+  // raise the matching typed error.
   std::vector<std::string> Files;
   for (const auto &Entry :
        std::filesystem::directory_iterator(SWIFT_CORPUS_DIR))

@@ -81,6 +81,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -231,6 +232,48 @@ void reportViolation(SeedStats &St, uint64_t Seed, const char *Schedule,
               static_cast<unsigned long long>(Seed), Schedule, What.c_str());
 }
 
+/// Forks a child that arms the kill \p Schedule and runs \p Body, whose
+/// result is the child's exit code (an exception exits 3), and waits for
+/// it. A landed kill or a completed child is counted and returns true:
+/// the caller checks what the child left on disk. Anything else is a
+/// violation and returns false.
+bool runKillChild(SeedStats &St, uint64_t Seed, const char *Schedule,
+                  const std::function<int()> &Body) {
+  pid_t Pid = ::fork();
+  if (Pid < 0) {
+    reportViolation(St, Seed, Schedule, "fork failed");
+    return false;
+  }
+  if (Pid == 0) {
+    // _exit keeps the parent's stdio buffers from double-flushing.
+    int Code = 3;
+    try {
+      failpoint::armSpec(Schedule);
+      Code = Body();
+    } catch (...) {
+    }
+    ::_exit(Code);
+  }
+
+  int Status = 0;
+  if (::waitpid(Pid, &Status, 0) != Pid || !WIFEXITED(Status)) {
+    reportViolation(St, Seed, Schedule,
+                    "child did not exit normally (signal?)");
+    return false;
+  }
+  int Code = WEXITSTATUS(Status);
+  if (Code == failpoint::KillExitCode)
+    ++St.KillsLanded;
+  else if (Code == 0)
+    ++St.ChildCompleted; // schedule beyond what this seed exercises
+  else {
+    reportViolation(St, Seed, Schedule,
+                    "child failed with exit " + std::to_string(Code));
+    return false;
+  }
+  return true;
+}
+
 void runSeed(uint64_t Seed, const ToolOptions &O, SeedStats &St) {
   // Normalise the generated program through one text round trip so its
   // symbol table matches what every checkpoint reload will reconstruct.
@@ -279,40 +322,11 @@ void runSeed(uint64_t Seed, const ToolOptions &O, SeedStats &St) {
   for (const char *Schedule : KillSchedules) {
     // Fresh A on disk, then crash a child mid-save of B.
     writeFileAtomic(CkPath, TextA, "crashtest.scratch");
-
-    pid_t Pid = ::fork();
-    if (Pid < 0) {
-      reportViolation(St, Seed, Schedule, "fork failed");
-      return;
-    }
-    if (Pid == 0) {
-      // Child: arm the kill and redo the resume+save. _exit keeps the
-      // parent's stdio buffers from double-flushing.
-      try {
-        failpoint::armSpec(Schedule);
-        resumeFromFile(CkPath, ResumeSteps, CkPath);
-      } catch (...) {
-        ::_exit(3);
-      }
-      ::_exit(0);
-    }
-
-    int Status = 0;
-    if (::waitpid(Pid, &Status, 0) != Pid || !WIFEXITED(Status)) {
-      reportViolation(St, Seed, Schedule,
-                      "child did not exit normally (signal?)");
+    if (!runKillChild(St, Seed, Schedule, [&] {
+          resumeFromFile(CkPath, ResumeSteps, CkPath);
+          return 0;
+        }))
       continue;
-    }
-    int Code = WEXITSTATUS(Status);
-    if (Code == failpoint::KillExitCode)
-      ++St.KillsLanded;
-    else if (Code == 0)
-      ++St.ChildCompleted; // schedule beyond the save's chunk count
-    else {
-      reportViolation(St, Seed, Schedule,
-                      "child failed with exit " + std::to_string(Code));
-      continue;
-    }
 
     // Contract 1+2: the survivor is a complete, valid old-or-new file.
     std::string Survivor;
@@ -434,38 +448,11 @@ void runServeSeed(uint64_t Seed, const ToolOptions &O, SeedStats &St) {
 
   for (const char *Schedule : ServeKillSchedules) {
     writeFileAtomic(StPath, BytesA, "crashtest.scratch");
-
-    pid_t Pid = ::fork();
-    if (Pid < 0) {
-      reportViolation(St, Seed, Schedule, "fork failed");
-      return;
-    }
-    if (Pid == 0) {
-      try {
-        failpoint::armSpec(Schedule);
-        resumeStore(StPath, *Edit, /*ApplyEdit=*/true);
-      } catch (...) {
-        ::_exit(3);
-      }
-      ::_exit(0);
-    }
-
-    int Status = 0;
-    if (::waitpid(Pid, &Status, 0) != Pid || !WIFEXITED(Status)) {
-      reportViolation(St, Seed, Schedule,
-                      "child did not exit normally (signal?)");
+    if (!runKillChild(St, Seed, Schedule, [&] {
+          resumeStore(StPath, *Edit, /*ApplyEdit=*/true);
+          return 0;
+        }))
       continue;
-    }
-    int Code = WEXITSTATUS(Status);
-    if (Code == failpoint::KillExitCode)
-      ++St.KillsLanded;
-    else if (Code == 0)
-      ++St.ChildCompleted;
-    else {
-      reportViolation(St, Seed, Schedule,
-                      "child failed with exit " + std::to_string(Code));
-      continue;
-    }
 
     // Contract 1+2: the survivor decodes and is old-A or new-B bytes.
     std::string Survivor;
@@ -645,49 +632,20 @@ void runJournalSeed(uint64_t Seed, const ToolOptions &O, SeedStats &St) {
     // Fresh baseline on disk: store A, empty (header-only) journal.
     writeFileAtomic(StPath, BytesA, "crashtest.scratch");
     writeFileAtomic(JPath, FreshJournal, "crashtest.scratch");
-
-    pid_t Pid = ::fork();
-    if (Pid < 0) {
-      reportViolation(St, Seed, Schedule.c_str(), "fork failed");
-      return;
-    }
-    if (Pid == 0) {
-      try {
-        failpoint::armSpec(Schedule);
-        serve::EngineOptions EO = serveOptions();
-        EO.StorePath = StPath;
-        EO.JournalPath = JPath;
-        serve::ServeEngine E(serve::ServeEngine::FromStore{StPath}, EO);
-        if (!E.solveInitial().Ok)
-          ::_exit(4);
-        if (!E.replayJournal().Ok)
-          ::_exit(4);
-        for (const serve::FuzzEdit &FE : Edits)
-          if (!E.applyEdit(FE.ProcName, FE.Body).Ok)
-            ::_exit(4);
-        E.compact();
-      } catch (...) {
-        ::_exit(3);
-      }
-      ::_exit(0);
-    }
-
-    int Status = 0;
-    if (::waitpid(Pid, &Status, 0) != Pid || !WIFEXITED(Status)) {
-      reportViolation(St, Seed, Schedule.c_str(),
-                      "child did not exit normally (signal?)");
+    if (!runKillChild(St, Seed, Schedule.c_str(), [&] {
+          serve::EngineOptions EO = serveOptions();
+          EO.StorePath = StPath;
+          EO.JournalPath = JPath;
+          serve::ServeEngine E(serve::ServeEngine::FromStore{StPath}, EO);
+          if (!E.solveInitial().Ok || !E.replayJournal().Ok)
+            return 4;
+          for (const serve::FuzzEdit &FE : Edits)
+            if (!E.applyEdit(FE.ProcName, FE.Body).Ok)
+              return 4;
+          E.compact();
+          return 0;
+        }))
       continue;
-    }
-    int Code = WEXITSTATUS(Status);
-    if (Code == failpoint::KillExitCode)
-      ++St.KillsLanded;
-    else if (Code == 0)
-      ++St.ChildCompleted; // schedule beyond what this seed exercises
-    else {
-      reportViolation(St, Seed, Schedule.c_str(),
-                      "child failed with exit " + std::to_string(Code));
-      continue;
-    }
 
     // Contract 1: the store survivor decodes and is old-A or new-B; the
     // journal survivor is a clean byte prefix of the uninterrupted
