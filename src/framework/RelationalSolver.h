@@ -169,11 +169,12 @@ public:
   const Summary &summary(ProcId P) const { return Summaries[P]; }
 
   /// Installs \p S as the final summary of \p P without analyzing it.
-  /// This is the warm-start / incremental path: a subsequent run() over a
-  /// set excluding \p P reads it for calls to \p P exactly as if this
-  /// solver had computed it, so run()'s call-closure precondition weakens
-  /// to "every callee is a member or has an installed summary". Must not
-  /// be called while run() is in flight.
+  /// This is the warm-start / incremental path, and how a SWIFT trigger
+  /// reuses the summaries earlier triggers installed: a subsequent run()
+  /// over a set excluding \p P reads it for calls to \p P exactly as if
+  /// this solver had computed it, so run()'s call-closure precondition
+  /// weakens to "every callee is a member or has an installed summary".
+  /// Must not be called while run() is in flight.
   void installSummary(ProcId P, Summary S) {
     Summaries[P] = std::move(S);
     HasSummary[P] = 1;

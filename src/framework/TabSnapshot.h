@@ -13,10 +13,12 @@
 /// restored into a fresh solver to resume.
 ///
 /// What is *not* here, and why that is sound:
-///  * Bottom-up summary caches — dropped. Resumed runs re-trigger the
-///    bottom-up analysis as needed; every serving decision is guarded by
-///    Sigma, so error sites and main-exit states at completion still
-///    coincide with the top-down analysis (Theorem 3.1).
+///  * Bottom-up summary caches and their refresh bookkeeping — dropped.
+///    Resumed runs re-trigger the bottom-up analysis as needed, so they
+///    may take other steps than an uninterrupted hybrid run; every
+///    serving decision is guarded by Sigma, so error sites and main-exit
+///    states at completion still coincide with the top-down analysis
+///    (Theorem 3.1).
 ///  * The binding cache and Stats counters — derived/diagnostic, rebuilt.
 ///
 /// For a *pure top-down* run the snapshot is exact: the tabulation loop is

@@ -8,9 +8,21 @@
 /// The SWIFT algorithm (the paper's Algorithm 1): a summary-based top-down
 /// tabulation solver (Reps-Horwitz-Sagiv style) that, when the number of
 /// distinct incoming abstract states of a procedure exceeds the threshold
-/// k, triggers the pruned bottom-up analysis on every procedure reachable
+/// k, triggers the pruned bottom-up analysis on the procedures reachable
 /// from it and thereafter serves call sites from bottom-up summaries
 /// whenever the incoming state is not in the summary's ignore set.
+///
+/// Summaries are reused across triggers. Algorithm 1's run_bu summarizes
+/// the whole callee closure; here a trigger solves only the part of the
+/// closure that no earlier trigger summarized and hands the solver the
+/// installed summaries of the rest, which Theorem 3.1 makes safe to keep
+/// behind their Sigma guards. Reuse alone would pin a summary pruned under
+/// an early frequency snapshot, so each summary may be refreshed once:
+/// when its Sigma has refused more than k distinct entry states, and more
+/// than RefreshRefusalRatio times as many as it served, its SCC is
+/// re-solved with the current frequencies (reusing its callees) and
+/// replaces the old summaries. Degraded summaries refuse every entry by
+/// construction and are never refreshed.
 ///
 /// With k = infinity this is exactly the conventional top-down analysis
 /// (the TD baseline).
@@ -36,9 +48,9 @@
 ///   * combine results per (call site, frame id, exit id),
 ///   * bottom-up serve decisions and outputs per (callee, entry id) —
 ///     this batches the Sigma guard and the applyRel sweep that every
-///     wavefront of callers to the same callee entry would repeat; the
-///     cache carries a generation stamp and is invalidated wholesale when
-///     a summary is installed or shed.
+///     wavefront of callers to the same callee entry would repeat; each
+///     row carries the stamp of the callee summary it was computed
+///     against, so installing a summary invalidates only its own rows.
 /// All memo hits replay the exact id sequence the first evaluation
 /// produced, so worklist order, budget step counts, and every reported
 /// fact are identical to the unmemoized solver's.
@@ -49,8 +61,9 @@
 /// at most the cap of the baselines it is compared against. The solve
 /// itself parallelizes over the call-graph SCC DAG with Config::BuThreads
 /// workers (see RelationalSolver); the workers read only immutable
-/// analysis state plus a materialized frequency snapshot, while the
-/// interner and memo tables stay on the top-down thread.
+/// analysis state, copies of the installed callee summaries and a
+/// materialized frequency snapshot, while the interner and memo tables
+/// stay on the top-down thread.
 ///
 /// Resource governance (Config::Gov): an attached ResourceGovernor turns
 /// the binary run/abort model into staged degradation. The top-down loop
@@ -67,8 +80,9 @@
 /// Observability (src/obs): when tracing is enabled the solver emits a
 /// "td.run" span, a "bu.sync" span per bottom-up run, per-procedure
 /// "bu.serve"/"bu.fallback"/"bu.install" instants, "swift.k_trip" trigger
-/// instants, "gov.shed" instants, and a periodic "td.path_edges" counter
-/// track. Every site is a single relaxed atomic load when tracing is off.
+/// and "swift.refresh" instants, "gov.shed" instants, and a periodic
+/// "td.path_edges" counter track. Every site is a single relaxed atomic
+/// load when tracing is off.
 ///
 /// snapshot()/restore() capture and re-seed the solver's mutable state
 /// for checkpoint/resume of budget-limited runs; see TabSnapshot.h for
@@ -102,6 +116,11 @@
 namespace swift {
 
 inline constexpr uint64_t NoBuTrigger = UINT64_MAX;
+
+/// An installed summary is refreshed once when the distinct entry states
+/// its Sigma refused exceed k and this many times those it served (see
+/// TabulationSolver::refreshDue; EXPERIMENTS.md records the sweep).
+inline constexpr uint64_t RefreshRefusalRatio = 8;
 
 template <typename AN> class TabulationSolver {
 public:
@@ -137,6 +156,7 @@ public:
     Incoming.resize(N);
     EverCalled.assign(N, false);
     Bu.resize(N);
+    BuUses.resize(N);
   }
 
   /// Runs to fixpoint from the root procedure's Lambda fact. Returns false
@@ -314,6 +334,20 @@ public:
 
   bool buDefined(ProcId P) const { return Bu[P].has_value(); }
   const BuSummary &buSummary(ProcId P) const { return *Bu[P]; }
+
+  /// The governor memory charge of one installed bottom-up summary.
+  static uint64_t buSummaryBytes(const BuSummary &S) {
+    return (S.Rels.size() + S.ObsRels.size() + 1) * (sizeof(Rel) + 16);
+  }
+
+  /// What the installed bottom-up summaries are charged to the governor
+  /// (0 without one): buSummaryBytes summed over them.
+  uint64_t buChargedBytes() const {
+    uint64_t N = 0;
+    for (const BuUse &U : BuUses)
+      N += U.GovBytes;
+    return N;
+  }
 
   /// Visits every computed fact (td map entry): (proc, node, entry state,
   /// current state).
@@ -609,31 +643,44 @@ private:
         for (uint32_t ExitId : *Exits)
           applyAfter(P, E, Node, BS, E.Cur, ExitId);
 
-      // The SWIFT trigger (Algorithm 1, line 17).
-      if (Cfg.K != NoBuTrigger && !Bu[G] && Incoming[G].size() > Cfg.K) {
+      // The SWIFT trigger (Algorithm 1, line 17), and the one refresh of
+      // an installed summary whose Sigma keeps refusing what TD brings.
+      if (Cfg.K == NoBuTrigger)
+        continue;
+      if (!Bu[G] && Incoming[G].size() > Cfg.K) {
         obs::instant("td", "swift.k_trip", {"proc", G},
                      {"incoming", Incoming[G].size()});
         tryRunBu(G);
+      } else if (Bu[G] && refreshDue(G)) {
+        obs::instant("td", "swift.refresh", {"proc", G},
+                     {"refused", BuUses[G].Refused});
+        refreshBu(G);
       }
     }
   }
 
   /// (Re)computes the cached serve decision for entry \p EntryId of
-  /// callee \p G; returns the ServeRows index. Rows whose generation
-  /// predates the last install/shed are recomputed in place.
+  /// callee \p G, whose summary is installed; returns the ServeRows index.
+  /// Rows computed against an earlier install of G's summary are
+  /// recomputed in place, so each install sees each distinct entry once:
+  /// that is where its served and refused entries are counted.
   uint32_t serveLookup(ProcId G, uint32_t EntryId) {
     uint64_t H = hashCombine(mix64(G), EntryId);
     uint32_t Row = ServeIdx.find(H, [&](uint32_t I) {
       return ServeKeys[I].first == G && ServeKeys[I].second == EntryId;
     });
-    if (Row != HashIndex::Npos && ServeRows[Row].Gen == ServeGen)
+    BuUse &U = BuUses[G];
+    if (Row != HashIndex::Npos && ServeRows[Row].Gen == U.Gen)
       return Row;
 
     // Copy: interning the outputs below can reallocate the arena.
     State EntryState = States[EntryId];
     ServeRow R{};
-    R.Gen = ServeGen;
-    if (Bu[G] && !Bu[G]->SigmaAll.contains(Ctx, EntryState)) {
+    R.Gen = U.Gen;
+    if (Bu[G]->SigmaAll.contains(Ctx, EntryState)) {
+      ++U.Refused;
+    } else {
+      ++U.Served;
       R.Served = 1;
       R.LambdaServe = AN::isLambda(EntryState) && Bu[G]->LambdaExit;
       std::vector<uint32_t> Outs, Obs;
@@ -734,90 +781,149 @@ private:
     if (L == Pressure::Red && !GovShedDone) {
       GovShedDone = true;
       obs::instant("gov", "gov.shed");
-      for (auto &B : Bu)
-        if (B) {
-          B.reset();
+      for (ProcId Q = 0; Q != Bu.size(); ++Q)
+        if (Bu[Q]) {
+          Bu[Q].reset();
+          Cfg.Gov->release(BuUses[Q].GovBytes);
+          BuUses[Q].GovBytes = 0;
           ++Stat.counter(CtrGovShedSummaries);
         }
-      ++ServeGen; // Cached serve decisions refer to shed summaries.
-      Cfg.Gov->release(GovBuBytes);
-      GovBuBytes = 0;
     }
   }
 
-  /// Runs the pruned bottom-up analysis on every procedure reachable from
-  /// \p G (Algorithm 1's run_bu), unless some reachable procedure has not
-  /// been seen by the top-down analysis yet (the paper's postponement for
-  /// its first problematic scenario in Section 4). The top-down analysis
-  /// resumes once the run has installed its summaries or run out of
-  /// budget.
-  void tryRunBu(ProcId G) {
-    // Degradation ladder: Red mints no bottom-up summaries at all; Yellow
-    // halves theta.
-    uint64_t EffTheta = Cfg.Theta;
-    if (Cfg.Gov) {
-      Pressure L = Cfg.Gov->level();
-      if (pressureAtLeast(L, Pressure::Red)) {
-        ++Stat.counter(CtrGovBuSuppressed);
-        return;
-      }
-      if (pressureAtLeast(L, Pressure::Yellow) && Cfg.Theta != NoPruning &&
-          Cfg.Theta > 1) {
-        EffTheta = std::max<uint64_t>(1, Cfg.Theta / 2);
-        ++Stat.counter(CtrGovThetaShrunk);
-      }
+  /// The degradation ladder for a bottom-up solve about to start: the
+  /// theta to prune with, or nothing under Red, which mints no bottom-up
+  /// summaries at all; Yellow halves theta.
+  std::optional<uint64_t> ladderTheta() {
+    if (!Cfg.Gov)
+      return Cfg.Theta;
+    Pressure L = Cfg.Gov->level();
+    if (pressureAtLeast(L, Pressure::Red)) {
+      ++Stat.counter(CtrGovBuSuppressed);
+      return std::nullopt;
     }
+    if (pressureAtLeast(L, Pressure::Yellow) && Cfg.Theta != NoPruning &&
+        Cfg.Theta > 1) {
+      ++Stat.counter(CtrGovThetaShrunk);
+      return std::max<uint64_t>(1, Cfg.Theta / 2);
+    }
+    return Cfg.Theta;
+  }
 
+  /// Algorithm 1's run_bu for \p G, restricted to what is not summarized
+  /// yet: of the procedures reachable from \p G, solves those without an
+  /// installed summary and reuses the rest, which Theorem 3.1 makes safe
+  /// to keep behind their Sigma guards. Postponed while some reachable
+  /// procedure has not been seen by the top-down analysis yet (the
+  /// paper's first problematic scenario in Section 4). The top-down
+  /// analysis resumes once the run has installed its summaries or run out
+  /// of budget.
+  void tryRunBu(ProcId G) {
+    std::optional<uint64_t> Theta = ladderTheta();
+    if (!Theta)
+      return;
     std::vector<ProcId> F = CG.reachableFrom(G);
     for (ProcId Q : F)
       if (!EverCalled.get(Q)) {
         ++Stat.counter(CtrBuPostponed);
         return;
       }
+    // An SCC is installed whole (closures contain every member of an SCC
+    // they touch), so the unsummarized part is closed under SCCs too.
+    std::vector<ProcId> Unsummarized;
+    for (ProcId Q : F)
+      if (!Bu[Q])
+        Unsummarized.push_back(Q);
+    Stat.counter(CtrBuReused) += F.size() - Unsummarized.size();
+    if (solveAndInstall(G, Unsummarized, *Theta, /*Refresh=*/false))
+      ++Stat.counter(CtrBuTriggers);
+  }
 
+  /// Whether \p G's installed summary is due for its one refresh: it was
+  /// pruned under a frequency snapshot that no longer predicts what TD
+  /// brings it, i.e. more than k distinct entry states fell back through
+  /// its Sigma, and more than RefreshRefusalRatio times as many as it
+  /// served. A degraded summary refuses every entry by construction and
+  /// is never due.
+  bool refreshDue(ProcId G) const {
+    const BuUse &U = BuUses[G];
+    return U.MayRefresh && U.Refused > Cfg.K &&
+           U.Refused > RefreshRefusalRatio * U.Served;
+  }
+
+  /// Re-solves \p G's SCC once with the current frequencies, reusing the
+  /// installed summaries of its callees, and replaces its members'
+  /// summaries.
+  void refreshBu(ProcId G) {
+    const std::vector<ProcId> &Scc = CG.sccMembers(CG.scc(G));
+    for (ProcId Q : Scc)
+      BuUses[Q].MayRefresh = false; // Once, whatever the outcome.
+    std::optional<uint64_t> Theta = ladderTheta();
+    if (Theta && solveAndInstall(G, Scc, *Theta, /*Refresh=*/true))
+      ++Stat.counter(CtrBuRefreshes);
+  }
+
+  /// One synchronous pruned bottom-up solve of \p Procs on the shared
+  /// budget, triggered at \p Root. Every callee of a member is a member
+  /// or has an installed summary, which the solver reads as final
+  /// (RelationalSolver::installSummary). Installs the members' summaries
+  /// and returns true unless the budget ran out.
+  bool solveAndInstall(ProcId Root, const std::vector<ProcId> &Procs,
+                       uint64_t Theta, bool Refresh) {
     // Materialize the frequency multisets M for the pruning ranking.
     // Wavefront workers only ever read this immutable snapshot — never
     // the interner or the memo tables, which stay top-down-thread-only.
     std::vector<std::unordered_map<State, uint64_t>> Freq(Prog.numProcs());
-    for (ProcId Q : F)
+    for (ProcId Q : Procs)
       Incoming[Q].forEach([&](uint32_t StateId, uint64_t Count) {
         Freq[Q].emplace(States[StateId], Count);
       });
 
-    obs::TraceSpan BuSpan("bu", "bu.sync", {"root", G},
-                          {"frontier", F.size()});
+    obs::TraceSpan BuSpan("bu", "bu.sync", {"root", Root},
+                          {"frontier", Procs.size()});
     Timer BuTimer;
     // Local stats: the run's bu.steps are re-attributed to the
     // synchronous-phase budget counter before merging.
     Stats BuStats;
     RelationalSolver<AN> Solver(
-        Ctx, Prog, CG, EffTheta, [&Freq](ProcId Q) { return &Freq[Q]; },
-        Bud, BuStats, DefaultMaxRelsPerPoint, Cfg.BuThreads, Cfg.Gov);
-    bool Ok = Solver.run(F);
+        Ctx, Prog, CG, Theta, [&Freq](ProcId Q) { return &Freq[Q]; }, Bud,
+        BuStats, DefaultMaxRelsPerPoint, Cfg.BuThreads, Cfg.Gov);
+    // A callee outside the member's SCC is not a member (SCCs are solved
+    // and installed whole), so exactly the installed ones are handed over.
+    for (ProcId Q : Procs)
+      for (ProcId C : CG.callees(Q))
+        if (Bu[C] && CG.scc(C) != CG.scc(Q) && !Solver.hasSummary(C))
+          Solver.installSummary(C, *Bu[C]);
+    bool Ok = Solver.run(Procs);
     BuStats.counter(CtrBuTimeUs) +=
         static_cast<uint64_t>(BuTimer.seconds() * 1e6);
     Stat.counter(CtrSyncBuSteps) += BuStats.get("bu.steps");
     Stat.merge(BuStats);
     if (!Ok)
-      return; // Budget exhausted; leave uninstalled.
-    for (ProcId Q : F)
-      install(Q, Solver.summary(Q));
-    ++Stat.counter(CtrBuTriggers);
+      return false; // Budget exhausted; leave uninstalled.
+    for (ProcId Q : Procs)
+      install(Q, Solver.summary(Q), Refresh);
+    return true;
   }
 
-  void install(ProcId Q, BuSummary Summary) {
+  /// Installs \p Summary for \p Q, replacing (and releasing the governor
+  /// charge of) any summary it had. A refreshed summary is final; a
+  /// first one may be refreshed once unless it is degraded.
+  void install(ProcId Q, BuSummary Summary, bool Refresh) {
+    BuUse &U = BuUses[Q];
+    if (Cfg.Gov)
+      Cfg.Gov->release(U.GovBytes);
     Bu[Q] = std::move(Summary);
-    ++ServeGen; // Cached serve decisions for Q are stale now.
+    U = BuUse{};
+    U.Gen = ++ServeGen; // Cached serve decisions for Q are stale now.
+    U.MayRefresh = !Refresh && !(Bu[Q]->SigmaAll == IgnoreAll);
     obs::instant("td", "bu.install", {"proc", Q},
                  {"rels", Bu[Q]->Rels.size()});
     Stat.counter(CtrBuSummaryRels) += Bu[Q]->Rels.size();
     Stat.counter(CtrBuSummarySigma) += Bu[Q]->SigmaAll.size();
     if (Cfg.Gov) {
-      uint64_t Bytes =
-          (Bu[Q]->Rels.size() + Bu[Q]->ObsRels.size() + 1) *
-          (sizeof(Rel) + 16);
-      Cfg.Gov->charge(Bytes);
-      GovBuBytes += Bytes;
+      U.GovBytes = buSummaryBytes(*Bu[Q]);
+      Cfg.Gov->charge(U.GovBytes);
     }
   }
 
@@ -859,8 +965,8 @@ private:
   MemoTab CombineMemo;  ///< (site, frame, exit) -> combined out ids.
 
   /// Cached bottom-up serve decision for one (callee, entry id), valid
-  /// while Gen == ServeGen. Served == 0 also caches the negative case
-  /// (no summary, or its ignore set covers the entry).
+  /// while Gen is the callee's BuUse::Gen. Served == 0 also caches the
+  /// negative case (its ignore set covers the entry).
   struct ServeRow {
     uint32_t Gen = 0;
     uint32_t OutsBegin = 0, OutsCount = 0;
@@ -871,10 +977,25 @@ private:
   HashIndex ServeIdx;
   std::vector<std::pair<ProcId, uint32_t>> ServeKeys;
   std::vector<ServeRow> ServeRows;
-  uint32_t ServeGen = 0; ///< Bumped on every install and shed.
+  uint32_t ServeGen = 0; ///< Bumped on every install.
 
-  bool GovShedDone = false;   ///< Red-pressure cache shed ran.
-  uint64_t GovBuBytes = 0;    ///< Memory charged for installed summaries.
+  /// What one install of a procedure's bottom-up summary has met.
+  struct BuUse {
+    uint32_t Gen = 0;      ///< Stamp of its serve rows (from ServeGen).
+    uint32_t Served = 0;   ///< Distinct entry states it served.
+    uint32_t Refused = 0;  ///< Distinct entry states its Sigma refused.
+    uint64_t GovBytes = 0; ///< Its governor memory charge.
+    bool MayRefresh = false; ///< Neither refreshed nor degraded.
+  };
+  std::vector<BuUse> BuUses;
+  /// The guard of a degraded summary (RelationalSolver::degrade).
+  const Ignore IgnoreAll = [] {
+    Ignore I;
+    AN::ignoreAll(I);
+    return I;
+  }();
+
+  bool GovShedDone = false; ///< Red-pressure cache shed ran.
 
   // Interned counter handles (resolved once; bumped per event).
   Stats::Counter CtrPathEdges = Stats::id("td.path_edges");
@@ -886,6 +1007,8 @@ private:
   Stats::Counter CtrBuTimeUs = Stats::id("swift.bu_time_us");
   Stats::Counter CtrBuSummaryRels = Stats::id("swift.bu_summary_rels");
   Stats::Counter CtrBuSummarySigma = Stats::id("swift.bu_summary_sigma");
+  Stats::Counter CtrBuReused = Stats::id("swift.bu_reused");
+  Stats::Counter CtrBuRefreshes = Stats::id("swift.bu_refreshes");
   // Budget phase attribution and governor events.
   Stats::Counter CtrTdSteps = Stats::id("budget.td_steps");
   Stats::Counter CtrSyncBuSteps = Stats::id("budget.sync_bu_steps");

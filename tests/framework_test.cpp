@@ -9,7 +9,8 @@
 /// exercise statistically: the observation manifest (errors on diverging
 /// paths inside served callees), Lambda flow through never-returning
 /// callees, trigger postponement, budget exhaustion, summary degradation
-/// soundness, and the bottom-up solver's per-SCC analysis schedule.
+/// soundness, the bottom-up solver's per-SCC analysis schedule, and the
+/// reuse of installed summaries across triggers with their one refresh.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -257,6 +258,78 @@ TEST(FrameworkTest, BottomUpScheduleIsChangeDriven) {
     EXPECT_EQ(Bu.ErrorSites, Td.ErrorSites);
     EXPECT_EQ(Bu.MainExit, Td.MainExit);
   }
+}
+
+/// f and g each trip k = 1 and share the callee chain c1 -> c2 -> c3.
+const char *SharedChain = R"(
+  typestate File { start c; error e; c -open-> o; o -close-> c; }
+  proc c3(x) { x.open(); x.close(); }
+  proc c2(x) { c3(x); }
+  proc c1(x) { c2(x); }
+  proc f(x) { c1(x); }
+  proc g(x) { c1(x); }
+  proc main() {
+    a = new File; f(a);
+    b = new File; f(b);
+    d = new File; g(d);
+    h = new File; g(h);
+    z = new File; z.close();
+  }
+)";
+
+/// A trigger solves only the part of its callee closure that no earlier
+/// trigger summarized: f's trigger analyzes f and the chain, g's only g
+/// and reuses the chain's three summaries.
+TEST(FrameworkTest, TriggersReuseInstalledSummaries) {
+  std::unique_ptr<Program> Prog = parseProgram(SharedChain);
+  TsContext Ctx(*Prog, Prog->symbols().intern("File"));
+  TsRunResult Td = runTypestateTd(Ctx);
+  ASSERT_EQ(Td.ErrorSites.size(), 1u);
+
+  TsRunResult Sw = runTypestateSwift(Ctx, 1, 8);
+  ASSERT_FALSE(Sw.Timeout);
+  EXPECT_EQ(Sw.Stat.get("swift.bu_triggers"), 2u);
+  EXPECT_EQ(Sw.Stat.get("bu.proc_analyses"), 5u);
+  EXPECT_EQ(Sw.Stat.get("swift.bu_reused"), 3u);
+  EXPECT_EQ(Sw.Stat.get("swift.bu_refreshes"), 0u);
+  ASSERT_GT(Sw.Stat.get("td.bu_served_calls"), 0u);
+  EXPECT_EQ(Sw.ErrorSites, Td.ErrorSites);
+  EXPECT_EQ(Sw.MainExit, Td.MainExit);
+}
+
+/// At theta = 1 the chain's summaries, pruned under the frequencies of
+/// f's trigger, refuse what g brings them and are refreshed. A refreshed
+/// summary replaces the old one in the governor's memory estimate too:
+/// what stays charged is exactly what is installed.
+TEST(FrameworkTest, RefreshReleasesTheReplacedSummarysCharge) {
+  std::unique_ptr<Program> Prog = parseProgram(SharedChain);
+  TsContext Ctx(*Prog, Prog->symbols().intern("File"));
+  ResourceGovernor Gov(GovernorLimits{});
+  Stats Stat;
+  TabulationSolver<TsAnalysis>::Config Cfg;
+  Cfg.K = 1;
+  Cfg.Theta = 1;
+  Cfg.Gov = &Gov;
+  TabulationSolver<TsAnalysis> Solver(Ctx, *Prog, Ctx.callGraph(), Cfg,
+                                      Gov.budget(), Stat);
+  ASSERT_TRUE(Solver.run());
+  ASSERT_GT(Stat.get("swift.bu_refreshes"), 0u);
+
+  uint64_t Installed = 0;
+  for (ProcId P = 0; P != Prog->numProcs(); ++P)
+    if (Solver.buDefined(P))
+      Installed += TabulationSolver<TsAnalysis>::buSummaryBytes(
+          Solver.buSummary(P));
+  ASSERT_GT(Installed, 0u);
+  EXPECT_EQ(Solver.buChargedBytes(), Installed);
+  EXPECT_LE(Solver.buChargedBytes(), Gov.memoryBytes());
+
+  // The refreshed run still coincides with TD.
+  TsRunResult Td = runTypestateTd(Ctx);
+  TsRunResult Sw = runTypestateSwift(Ctx, 1, 1);
+  EXPECT_GT(Sw.Stat.get("swift.bu_refreshes"), 0u);
+  EXPECT_EQ(Sw.ErrorSites, Td.ErrorSites);
+  EXPECT_EQ(Sw.MainExit, Td.MainExit);
 }
 
 } // namespace
