@@ -12,7 +12,8 @@
 ///   --budget=SECONDS   per-run analysis budget (default 15; the stand-in
 ///                      for the paper's 24 h / 16 GB limit)
 ///   --bench=NAMES      restrict to the comma-separated workload names
-///   --threads=N        worker threads per bottom-up solve (default 1)
+///   --threads=N        pure-BU wavefront worker threads (default 1;
+///                      SWIFT's triggered solves run on one thread)
 ///   --trace-out=F      write a Chrome/Perfetto trace of the whole bench
 ///                      run to F (flushed at exit; MANUAL section 9)
 ///   --metrics-out=F    write a swift-metrics JSON snapshot to F; its
@@ -50,7 +51,7 @@ struct Options {
   double BudgetSeconds = 15.0;
   uint64_t BudgetSteps = 200'000'000;
   std::string Only;     ///< Workload filter: comma-separated exact names.
-  unsigned Threads = 1; ///< Worker threads per bottom-up solve.
+  unsigned Threads = 1; ///< Pure-BU wavefront worker threads.
   std::string TraceOut;   ///< Chrome trace output path (empty = off).
   std::string MetricsOut; ///< swift-metrics snapshot path (empty = off).
   std::string JsonOut;    ///< swift-bench result path (empty = off).

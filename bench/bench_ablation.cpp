@@ -42,7 +42,7 @@ int main(int Argc, char **Argv) {
   for (uint64_t K : {2, 5, 20, 100}) {
     std::printf("%8llu |", static_cast<unsigned long long>(K));
     for (uint64_t Theta : {1, 2, 4, 8}) {
-      TsRunResult R = runTypestateSwift(Ctx, K, Theta, L, O.Threads);
+      TsRunResult R = runTypestateSwift(Ctx, K, Theta, L);
       auto &Row = Rep.addRow(
           Name, "swift_k" + std::to_string(K) + "_th" + std::to_string(Theta),
           R);

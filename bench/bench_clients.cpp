@@ -46,12 +46,12 @@ int main(int Argc, char **Argv) {
     std::unique_ptr<Program> Prog = generateWorkload(W.Config);
 
     for (const std::string &Domain : clientDomainNames()) {
-      DomainRunResult Td = runClientDomain(Domain, *Prog, DomainMode::Td,
-                                           5, 4, O.Threads, L);
+      DomainRunResult Td =
+          runClientDomain(Domain, *Prog, DomainMode::Td, 5, 4, 1, L);
       DomainRunResult Bu = runClientDomain(Domain, *Prog, DomainMode::Bu,
                                            5, 4, O.Threads, L);
-      DomainRunResult Sw = runClientDomain(
-          Domain, *Prog, DomainMode::Swift, 5, 4, O.Threads, L);
+      DomainRunResult Sw =
+          runClientDomain(Domain, *Prog, DomainMode::Swift, 5, 4, 1, L);
 
       Rep.add(W.Name, Domain + "/td", Td);
       Rep.add(W.Name, Domain + "/bu", Bu);

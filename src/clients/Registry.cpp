@@ -91,7 +91,6 @@ DomainRunResult runModeT(const typename AN::Context &Ctx, DomainMode Mode,
   typename TabulationSolver<AN>::Config Cfg;
   Cfg.K = Mode == DomainMode::Td ? NoBuTrigger : K;
   Cfg.Theta = Mode == DomainMode::Td ? 1 : Theta;
-  Cfg.BuThreads = Threads;
   runTabulation<AN>(Ctx, Cfg, Limits, R,
                     [&](const TabulationSolver<AN> &Solver) {
                       Solver.forEachFact([&](ProcId P, NodeId N,
@@ -160,8 +159,7 @@ DomainRunResult clients::runClientDomain(const std::string &Domain,
       return typestateResult(Prog, runTypestateTd(Ctx, Limits));
     if (Mode == DomainMode::Bu)
       return typestateResult(Prog, runTypestateBu(Ctx, Limits, Threads));
-    return typestateResult(Prog,
-                           runTypestateSwift(Ctx, K, Theta, Limits, Threads));
+    return typestateResult(Prog, runTypestateSwift(Ctx, K, Theta, Limits));
   }
 
   if (Domain == "interval") {

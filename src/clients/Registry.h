@@ -79,10 +79,10 @@ std::set<Symbol> taintSinkMethods(const Program &Prog);
 
 /// Runs \p Domain ("typestate" or a client domain) on \p Prog. \p K and
 /// \p Theta configure the SWIFT trigger and pruning (ignored for Td and
-/// Bu); \p Threads is the solver worker count (BU wavefront workers in
-/// Swift/Bu modes). Typestate tracks the program's first spec. Throws
-/// std::runtime_error for an unregistered domain, and for typestate on a
-/// program without a spec.
+/// Bu); \p Threads is pure BU's wavefront worker count (Td and Swift
+/// modes run on one thread). Typestate tracks the program's first spec.
+/// Throws std::runtime_error for an unregistered domain, and for
+/// typestate on a program without a spec.
 DomainRunResult runClientDomain(const std::string &Domain,
                                 const Program &Prog, DomainMode Mode,
                                 uint64_t K, uint64_t Theta,

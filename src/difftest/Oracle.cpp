@@ -18,7 +18,6 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <map>
 #include <sstream>
 #include <stdexcept>
 
@@ -56,7 +55,8 @@ const char *swift::difftest::checkKindName(CheckKind K) {
 
 namespace {
 
-/// One row of the oracle's table.
+/// One row of the oracle's table. Threads is the worker count of a pure
+/// BU row; TD and SWIFT rows run on one thread.
 struct Row {
   DomainMode Mode;
   uint64_t K = 0;
@@ -64,11 +64,10 @@ struct Row {
   unsigned Threads = 1;
 };
 
-/// The table every domain runs, TD (the reference) first. SWIFT at six
-/// (k, theta): the trigger fires at different times, so these cover very
-/// different mixes of analyzed and served calls. Results must be
-/// bit-identical at every worker count, so two representative (k, theta)
-/// points suffice per count.
+/// The table every domain runs, TD (the reference) first. Pure BU at 1, 2
+/// and 4 wavefront workers, whose results must be bit-identical. SWIFT at
+/// six (k, theta): the trigger fires at different times, so these cover
+/// very different mixes of analyzed and served calls.
 const Row Table[] = {
     {DomainMode::Td},
     {DomainMode::Bu, 0, 1, 1},
@@ -80,26 +79,14 @@ const Row Table[] = {
     {DomainMode::Swift, 1, 2},
     {DomainMode::Swift, 3, 2},
     {DomainMode::Swift, 5, 2},
-    {DomainMode::Swift, 2, 1, 2},
-    {DomainMode::Swift, 5, 2, 2},
-    {DomainMode::Swift, 2, 1, 4},
-    {DomainMode::Swift, 5, 2, 4},
 };
 
-/// A row's name without its worker count: rows in one group must agree
-/// bit for bit.
-std::string groupName(const Row &R) {
+std::string rowName(const Row &R) {
   if (R.Mode == DomainMode::Td)
     return "td";
   if (R.Mode == DomainMode::Bu)
-    return "bu";
+    return "bu/t" + std::to_string(R.Threads);
   return "swift/k" + std::to_string(R.K) + "/th" + std::to_string(R.Theta);
-}
-
-std::string rowName(const Row &R) {
-  if (R.Mode == DomainMode::Bu || R.Threads != 1)
-    return groupName(R) + "/t" + std::to_string(R.Threads);
-  return groupName(R);
 }
 
 /// One finished row.
@@ -245,19 +232,22 @@ void OracleRun::checkAgainstTd(const Row &Rw, const std::string &Name,
   }
 }
 
+/// The pure BU rows differ only in worker count, so each must agree bit
+/// for bit with the first of them that finished.
 void OracleRun::checkThreadDeterminism(const std::vector<Run> &Runs) {
-  std::map<std::string, const Run *> Rep;
+  const Run *Base = nullptr;
   for (const Run &R : Runs) {
-    if (R.Result.Timeout || R.Rw->Mode == DomainMode::Td)
+    if (R.Result.Timeout || R.Rw->Mode != DomainMode::Bu)
       continue;
-    auto [It, Inserted] = Rep.emplace(groupName(*R.Rw), &R);
-    if (Inserted)
+    if (!Base) {
+      Base = &R;
       continue;
-    const DomainRunResult &A = It->second->Result, &B = R.Result;
+    }
+    const DomainRunResult &A = Base->Result, &B = R.Result;
     auto Mismatch = [&](const char *What) {
       addViolation(CheckKind::ThreadDeterminism, rowName(*R.Rw),
                    std::string(What) + " differ from " + Domain + "/" +
-                       rowName(*It->second->Rw));
+                       rowName(*Base->Rw));
     };
     if (A.Reports != B.Reports)
       Mismatch("report sites");
@@ -265,8 +255,6 @@ void OracleRun::checkThreadDeterminism(const std::vector<Run> &Runs) {
       Mismatch("report points");
     if (A.ExitFacts != B.ExitFacts)
       Mismatch("main-exit facts");
-    if (A.TdSummariesPerProc != B.TdSummariesPerProc)
-      Mismatch("td-summary counts");
     if (A.BuRelations != B.BuRelations)
       Mismatch("bu-relation counts");
   }
@@ -717,24 +705,19 @@ OracleResult OracleRun::run() {
   }
 
   std::vector<Run> Runs;
-  // Once a pure BU run or a SWIFT (k, theta) times out, skip its other
-  // worker-count variants: the step budget bounds total work, so they
-  // would burn the same wall budget just to time out again.
+  // Once a pure BU run times out, skip its other worker-count variants:
+  // the step budget bounds total work, so they would burn the same wall
+  // budget just to time out again.
   bool BuTimedOut = false;
-  std::set<std::pair<uint64_t, uint64_t>> TimedOutKT;
   for (const Row &Rw : Table) {
-    if (Rw.Mode == DomainMode::Bu ? BuTimedOut
-                                  : TimedOutKT.count({Rw.K, Rw.Theta}) != 0)
+    if (Rw.Mode == DomainMode::Bu && BuTimedOut)
       continue;
     Run R{&Rw, clients::runClientDomain(Domain, Prog, Rw.Mode, Rw.K,
                                         Rw.Theta, Rw.Threads, Opts.Limits)};
     ++Res.RunsDone;
     if (R.Result.Timeout) {
       ++Res.RunsTimedOut;
-      if (Rw.Mode == DomainMode::Bu)
-        BuTimedOut = true;
-      else if (Rw.Mode == DomainMode::Swift)
-        TimedOutKT.insert({Rw.K, Rw.Theta});
+      BuTimedOut |= Rw.Mode == DomainMode::Bu;
     }
     Runs.push_back(std::move(R));
   }

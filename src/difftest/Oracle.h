@@ -8,30 +8,31 @@
 /// The differential-testing oracle, one for every registered domain
 /// (clients/Registry.h: typestate, taint, nullderef, reachdefs,
 /// interval). It runs the domain's concrete witness (clients/Concrete.h)
-/// as ground truth and one 14-row table of analysis modes on one program
+/// as ground truth and one 10-row table of analysis modes on one program
 /// — TD (the reference); pure BU at 1, 2 and 4 threads; SWIFT at (k,
-/// theta) in {(0,1), (1,1), (2,1), (1,2), (3,2), (5,2)}; and (2,1) and
-/// (5,2) at 2 and 4 threads — then checks every relation the paper
-/// guarantees:
+/// theta) in {(0,1), (1,1), (2,1), (1,2), (3,2), (5,2)}, whose triggered
+/// bottom-up solves run on one thread — then checks every relation the
+/// paper guarantees:
 ///
 ///  * Soundness — every witness report site, and every main-exit fact of
 ///    a witness schedule that reached main's exit, is reported by every
 ///    complete run.
 ///  * TD coincidence (Theorem 3.1) — SWIFT's report sites and main-exit
-///    facts equal TD's at every (k, theta, threads).
+///    facts equal TD's at every (k, theta).
 ///  * Report-point containment — a SWIFT report point is a TD report
 ///    point unless it sits at a call command (the observation manifest
 ///    reports findings inside summary-served callees at the serving
 ///    call).
 ///  * BU agreement — the unpruned bottom-up analysis, instantiated on the
 ///    initial state, matches TD's report sites and main-exit facts.
-///  * Thread determinism — rows differing only in worker count agree in
-///    report sites, report points, main-exit facts and summary counts.
+///  * Thread determinism — the pure BU rows, which differ only in worker
+///    count, agree in report sites, report points, main-exit facts and
+///    relation counts.
 ///
 /// Typestate adds four contracts of the machinery only it has: governed
 /// partial soundness, checkpoint-resume, incremental coincidence (serve)
 /// and shard invariance. Violations name their configuration
-/// `<domain>/<row>`, e.g. "taint/swift/k2/th1/t4" or "typestate/bu/t1",
+/// `<domain>/<row>`, e.g. "taint/swift/k2/th1" or "typestate/bu/t4",
 /// so a reproducer records which domain to replay it under.
 ///
 //===----------------------------------------------------------------------===//

@@ -22,7 +22,10 @@
 /// than RefreshRefusalRatio times as many as it served, its SCC is
 /// re-solved with the current frequencies (reusing its callees) and
 /// replaces the old summaries. Degraded summaries refuse every entry by
-/// construction and are never refreshed.
+/// construction and are never refreshed. Every solve, triggered or
+/// refreshing, is one synchronous single-threaded RelationalSolver run
+/// that draws from the same budget as the top-down loop, so a hybrid run
+/// costs at most the cap of the baselines it is compared against.
 ///
 /// With k = infinity this is exactly the conventional top-down analysis
 /// (the TD baseline).
@@ -54,16 +57,6 @@
 /// All memo hits replay the exact id sequence the first evaluation
 /// produced, so worklist order, budget step counts, and every reported
 /// fact are identical to the unmemoized solver's.
-///
-/// Concurrency (the paper's Section 7 sketch, inside one trigger): every
-/// triggered bottom-up run is a synchronous RelationalSolver solve that
-/// draws from the same budget as the top-down loop, so a hybrid run costs
-/// at most the cap of the baselines it is compared against. The solve
-/// itself parallelizes over the call-graph SCC DAG with Config::BuThreads
-/// workers (see RelationalSolver); the workers read only immutable
-/// analysis state, copies of the installed callee summaries and a
-/// materialized frequency snapshot, while the interner and memo tables
-/// stay on the top-down thread.
 ///
 /// Resource governance (Config::Gov): an attached ResourceGovernor turns
 /// the binary run/abort model into staged degradation. The top-down loop
@@ -136,10 +129,6 @@ public:
   struct Config {
     uint64_t K = NoBuTrigger; ///< Trigger threshold; NoBuTrigger = pure TD.
     uint64_t Theta = 1;       ///< Cases kept by the pruned bottom-up run.
-    /// Worker threads inside each bottom-up solve (SCC-DAG wavefront);
-    /// 1 = the sequential callee-first sweep. Summaries are identical for
-    /// every value.
-    unsigned BuThreads = 1;
     /// Optional resource governor (see file comment). Must outlive the
     /// solver; its Budget should be the one passed to the constructor so
     /// pressure fractions describe the budget actually being consumed.
@@ -871,8 +860,6 @@ private:
   bool solveAndInstall(ProcId Root, const std::vector<ProcId> &Procs,
                        uint64_t Theta, bool Refresh) {
     // Materialize the frequency multisets M for the pruning ranking.
-    // Wavefront workers only ever read this immutable snapshot — never
-    // the interner or the memo tables, which stay top-down-thread-only.
     std::vector<std::unordered_map<State, uint64_t>> Freq(Prog.numProcs());
     for (ProcId Q : Procs)
       Incoming[Q].forEach([&](uint32_t StateId, uint64_t Count) {
@@ -887,7 +874,7 @@ private:
     Stats BuStats;
     RelationalSolver<AN> Solver(
         Ctx, Prog, CG, Theta, [&Freq](ProcId Q) { return &Freq[Q]; }, Bud,
-        BuStats, DefaultMaxRelsPerPoint, Cfg.BuThreads, Cfg.Gov);
+        BuStats, DefaultMaxRelsPerPoint, /*NumThreads=*/1, Cfg.Gov);
     // A callee outside the member's SCC is not a member (SCCs are solved
     // and installed whole), so exactly the installed ones are handed over.
     for (ProcId Q : Procs)

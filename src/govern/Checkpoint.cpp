@@ -111,10 +111,9 @@ std::string swift::checkpointToText(const Program &Prog,
     OS << "td";
   else
     OS << C.Config.K;
-  // The manifest and async fields are kept for format compatibility and
-  // always 1 and 0.
-  OS << " theta " << C.Config.Theta << " manifest 1 async 0 threads "
-     << C.Config.Threads << '\n';
+  // The manifest, async and threads fields are kept for format
+  // compatibility and always 1, 0 and 1.
+  OS << " theta " << C.Config.Theta << " manifest 1 async 0 threads 1\n";
   OS << "steps " << C.StepsConsumed << '\n';
   OS << "program begin\n";
   OS << programToText(Prog);
@@ -186,15 +185,16 @@ ParsedCheckpoint swift::parseCheckpointText(std::string_view Text) {
     C.Config.Theta = R.dec(T[4]);
     if (C.Config.Theta == 0)
       R.fail("theta must be at least 1");
-    // manifest 0 and async 1 were written by runs without the observation
-    // manifest and with asynchronous bottom-up, modes that no longer
-    // exist. The snapshot holds no bottom-up state, so such a checkpoint
-    // resumes with the manifest, synchronously; both fields are still
-    // range-checked.
+    // manifest 0, async 1 and threads > 1 were written by runs without
+    // the observation manifest, with asynchronous bottom-up, and with
+    // multi-threaded triggered solves, modes that no longer exist. The
+    // snapshot holds no bottom-up state, so such a checkpoint resumes
+    // with the manifest, synchronously, on one thread; the fields are
+    // still range-checked.
     (void)R.dec(T[6], 1);
     (void)R.dec(T[8], 1);
-    // The same range swift-analyze --threads accepts.
-    if (!cli::parseUnsigned(T[10], C.Config.Threads, 1, 1024))
+    unsigned Threads = 1;
+    if (!cli::parseUnsigned(T[10], Threads, 1, 1024))
       R.fail("threads must be in [1, 1024], got '" + std::string(T[10]) +
              "'");
   }

@@ -35,10 +35,10 @@
 ///
 /// Determinism: with step-only limits (no wall clock, no memory cap) the
 /// pressure level observed at each top-down poll point is a pure function
-/// of the deterministic step count, so governed runs are reproducible at
-/// any thread count. Wall-clock and memory fractions are inherently
-/// timing-dependent; they are best-effort degradation signals, not part
-/// of the determinism contract.
+/// of the deterministic step count, so governed runs are reproducible.
+/// Wall-clock and memory fractions are inherently timing-dependent; they
+/// are best-effort degradation signals, not part of the determinism
+/// contract.
 ///
 //===----------------------------------------------------------------------===//
 

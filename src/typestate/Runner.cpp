@@ -15,7 +15,6 @@ tabulationConfig(const SwiftRunConfig &SC) {
   TabulationSolver<TsAnalysis>::Config Cfg;
   Cfg.K = SC.K;
   Cfg.Theta = SC.Theta;
-  Cfg.BuThreads = SC.Threads;
   return Cfg;
 }
 
@@ -71,13 +70,12 @@ TsRunResult runTabulating(const TsContext &Ctx, const SwiftRunConfig &SC,
 } // namespace
 
 TsRunResult swift::runTypestateTd(const TsContext &Ctx, RunLimits Limits) {
-  return runTabulating(Ctx, SwiftRunConfig{NoBuTrigger, 1, 1}, Limits);
+  return runTabulating(Ctx, SwiftRunConfig{NoBuTrigger, 1}, Limits);
 }
 
 TsRunResult swift::runTypestateSwift(const TsContext &Ctx, uint64_t K,
-                                     uint64_t Theta, RunLimits Limits,
-                                     unsigned Threads) {
-  return runTabulating(Ctx, SwiftRunConfig{K, Theta, Threads}, Limits);
+                                     uint64_t Theta, RunLimits Limits) {
+  return runTabulating(Ctx, SwiftRunConfig{K, Theta}, Limits);
 }
 
 const char *swift::tsVerdictName(TsVerdict V) {

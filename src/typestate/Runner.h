@@ -60,25 +60,24 @@ struct TsRunResult : RunCounts {
 /// Conventional top-down analysis (SWIFT with the trigger disabled).
 TsRunResult runTypestateTd(const TsContext &Ctx, RunLimits Limits = {});
 
-/// The SWIFT hybrid with thresholds \p K and \p Theta. \p Threads is the
-/// worker count of each triggered bottom-up solve (SCC-DAG wavefront, the
-/// paper's Section 7 parallelization; summaries are bit-identical for
-/// every value).
+/// The SWIFT hybrid with thresholds \p K and \p Theta. Each triggered
+/// bottom-up solve runs on the calling thread.
 TsRunResult runTypestateSwift(const TsContext &Ctx, uint64_t K,
-                              uint64_t Theta, RunLimits Limits = {},
-                              unsigned Threads = 1);
+                              uint64_t Theta, RunLimits Limits = {});
 
 /// Conventional bottom-up analysis: whole-program relational analysis
 /// without pruning, then one application of main's summary to the initial
-/// state. \p Threads parallelizes over the call-graph SCC DAG.
+/// state. \p Threads parallelizes over the call-graph SCC DAG (the
+/// paper's Section 7 sketch; summaries are bit-identical for every value).
 TsRunResult runTypestateBu(const TsContext &Ctx, RunLimits Limits = {},
                            unsigned Threads = 1);
 
 /// One SWIFT configuration as governed runs and checkpoints carry it: the
-/// K, Theta and Threads arguments of runTypestateSwift.
+/// K and Theta arguments of runTypestateSwift.
 struct SwiftRunConfig {
   uint64_t K = 5;
   uint64_t Theta = 2;
+  /// Unread; kept only while swiftbench sets it (ROADMAP item 5 drops it).
   unsigned Threads = 1;
 };
 

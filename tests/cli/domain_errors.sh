@@ -9,7 +9,10 @@
 #  * client domains reject --mem-mb (no governor) and honor --failpoints,
 #    --trace-out and --metrics-out like the typestate domain;
 #  * a --mem-mb whose byte count would not fit in 64 bits exits 2 like any
-#    malformed value, and the largest accepted one caps nothing.
+#    malformed value, and the largest accepted one caps nothing;
+#  * --threads, the pure-BU wavefront's worker count, is accepted only
+#    with a client domain in --mode=bu; anywhere else it would do nothing,
+#    so it exits 2 naming the flag.
 #
 # Usage: domain_errors.sh <swift-analyze> <swift-difftest> <corpus-dir>
 set -u
@@ -85,6 +88,23 @@ plain_rc=$?
 "$analyze" --mem-mb=17592186044415 "$ts" >"$work/out" 2>&1
 check "--mem-mb=2^44-1 runs like no cap" "$plain_rc" $?
 expect_grep "--mem-mb=2^44-1 completes" ": complete in" "$work/out"
+
+# --- --threads sets only pure BU's wavefront ---------------------------
+for args in "--mode=swift" "--mode=td" "--domain=taint --mode=td" \
+  "--domain=taint --mode=swift"; do
+  # shellcheck disable=SC2086
+  "$analyze" $args --threads=4 "$ts" >"$work/out" 2>&1
+  check "$args --threads=4 exits 2" 2 $?
+  expect_grep "$args --threads=4 names the flag" \
+    "threads is valid only with a client --domain and --mode=bu" "$work/out"
+done
+"$analyze" --resume-from="$work/ck" --threads=2 >"$work/out" 2>&1
+check "--resume-from with --threads exits 2" 2 $?
+expect_grep "--resume-from with --threads names the flag" \
+  "threads is valid only with a client --domain and --mode=bu" "$work/out"
+"$analyze" --domain=taint --mode=bu --threads=2 "$prog" >"$work/out" 2>&1
+check "taint/bu --threads=2 runs" 0 $?
+expect_grep "taint/bu --threads=2 completes" "taint/bu: complete" "$work/out"
 
 # --- failpoints, trace and metrics apply to client domains too ----------
 "$analyze" --domain=taint --failpoints=bogus "$prog" >"$work/out" 2>&1

@@ -656,28 +656,24 @@ TEST(WitnessDigest, CorpusProgramsMatchRecorded) {
 
 TEST(ClientSharding, WorkerCountNeverChangesResults) {
   // The same in-process SCC-DAG wavefront that backs the shard tooling
-  // runs under Swift and Bu modes; every observable — reports, exit
-  // facts, summary and relation counts — must be identical at any width.
+  // runs pure BU; every observable — reports, exit facts, relation
+  // counts — must be identical at any width.
   for (uint64_t Seed : {3u, 7u, 11u}) {
     auto Prog = generateFuzzProgram(difftest::fuzzConfigForSeed(Seed));
     ASSERT_NE(Prog, nullptr);
     for (const std::string &Domain : clientDomainNames()) {
-      for (DomainMode Mode : {DomainMode::Swift, DomainMode::Bu}) {
-        DomainRunResult Base =
-            runClientDomain(Domain, *Prog, Mode, 1, 2, 1);
-        ASSERT_FALSE(Base.Timeout) << Domain << " seed " << Seed;
-        for (unsigned Threads : {2u, 4u}) {
-          DomainRunResult R =
-              runClientDomain(Domain, *Prog, Mode, 1, 2, Threads);
-          EXPECT_EQ(R.Reports, Base.Reports)
-              << Domain << " seed " << Seed << " th" << Threads;
-          EXPECT_EQ(R.ExitFacts, Base.ExitFacts)
-              << Domain << " seed " << Seed << " th" << Threads;
-          EXPECT_EQ(R.BuRelations, Base.BuRelations)
-              << Domain << " seed " << Seed << " th" << Threads;
-          EXPECT_EQ(R.TdSummaries, Base.TdSummaries)
-              << Domain << " seed " << Seed << " th" << Threads;
-        }
+      DomainRunResult Base =
+          runClientDomain(Domain, *Prog, DomainMode::Bu, 1, 2, 1);
+      ASSERT_FALSE(Base.Timeout) << Domain << " seed " << Seed;
+      for (unsigned Threads : {2u, 4u}) {
+        DomainRunResult R =
+            runClientDomain(Domain, *Prog, DomainMode::Bu, 1, 2, Threads);
+        EXPECT_EQ(R.Reports, Base.Reports)
+            << Domain << " seed " << Seed << " th" << Threads;
+        EXPECT_EQ(R.ExitFacts, Base.ExitFacts)
+            << Domain << " seed " << Seed << " th" << Threads;
+        EXPECT_EQ(R.BuRelations, Base.BuRelations)
+            << Domain << " seed " << Seed << " th" << Threads;
       }
     }
   }

@@ -32,13 +32,12 @@ namespace {
 using Fact = std::tuple<ProcId, NodeId, TsAbstractState, TsAbstractState>;
 
 std::set<Fact> collectFacts(const TsContext &Ctx, uint64_t K,
-                            uint64_t Theta, unsigned Threads = 1) {
+                            uint64_t Theta) {
   Budget Bud(50'000'000, 60.0);
   Stats Stat;
   TabulationSolver<TsAnalysis>::Config Cfg;
   Cfg.K = K;
   Cfg.Theta = Theta;
-  Cfg.BuThreads = Threads;
   TabulationSolver<TsAnalysis> Solver(Ctx, Ctx.program(), Ctx.callGraph(),
                                       Cfg, Bud, Stat);
   EXPECT_TRUE(Solver.run()) << "budget exhausted";
@@ -65,28 +64,22 @@ TEST_P(CoincidenceTest, SwiftEqualsTopDownOnFuzzedPrograms) {
   ASSERT_FALSE(Td.Timeout);
   std::set<Fact> TdFacts = collectFacts(Ctx, NoBuTrigger, 1);
 
-  // Sample the parallel bottom-up solver's worker count {1, 2, 4} by
-  // seed: coincidence must hold at every thread count.
-  const unsigned Threads = 1u << (GetParam() % 3);
-
   for (auto [K, Theta] : {std::pair<uint64_t, uint64_t>{0, 1},
                           {1, 1},
                           {2, 1},
                           {1, 2},
                           {3, 2},
                           {2, 8}}) {
-    TsRunResult Sw = runTypestateSwift(Ctx, K, Theta, RunLimits{}, Threads);
+    TsRunResult Sw = runTypestateSwift(Ctx, K, Theta);
     ASSERT_FALSE(Sw.Timeout);
     EXPECT_EQ(Sw.MainExit, Td.MainExit)
-        << "seed=" << FC.Seed << " k=" << K << " theta=" << Theta
-        << " threads=" << Threads;
+        << "seed=" << FC.Seed << " k=" << K << " theta=" << Theta;
     EXPECT_EQ(Sw.ErrorSites, Td.ErrorSites)
-        << "seed=" << FC.Seed << " k=" << K << " theta=" << Theta
-        << " threads=" << Threads;
+        << "seed=" << FC.Seed << " k=" << K << " theta=" << Theta;
 
     // Every fact SWIFT computes is a fact TD computes (SWIFT only *skips*
     // re-analyses; it never invents states).
-    std::set<Fact> SwFacts = collectFacts(Ctx, K, Theta, Threads);
+    std::set<Fact> SwFacts = collectFacts(Ctx, K, Theta);
     for (const Fact &F : SwFacts)
       EXPECT_TRUE(TdFacts.count(F))
           << "seed=" << FC.Seed << " k=" << K << " theta=" << Theta
@@ -108,9 +101,14 @@ TEST_P(CoincidenceTest, BottomUpAgreesOnFuzzedPrograms) {
   TsContext Ctx(*Prog, Prog->symbols().intern("File"));
 
   TsRunResult Td = runTypestateTd(Ctx);
+  // A step cap, so that which seeds blow up depends on the code, not on
+  // how fast the build runs: every seed that completes needs under 45k
+  // steps, and the three that do not (params 5 and 8 hit the relation
+  // cap, param 10 needs 112k steps) stop in at most about a minute even
+  // under sanitizers. The wall limit is only a backstop above that.
   RunLimits BuLimits;
-  BuLimits.MaxSteps = 2'000'000;
-  BuLimits.MaxSeconds = 5.0;
+  BuLimits.MaxSteps = 60'000;
+  BuLimits.MaxSeconds = 120.0;
   TsRunResult Bu = runTypestateBu(Ctx, BuLimits);
   ASSERT_FALSE(Td.Timeout);
   if (Bu.Timeout)

@@ -5,17 +5,20 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Tests of the parallel bottom-up solver inside the hybrid:
+/// Tests of the parallel bottom-up solver and of the budget bottom-up
+/// solves share:
 ///
 ///  - The SCC-wavefront scheduler is deterministic: summaries are
 ///    bit-identical for every thread count, on the paper's running example
 ///    and on generated workloads, with and without pruning.
-///  - A triggered bottom-up solve's wavefront workers charge the one
-///    shared budget: the recorded step count covers their node visits
-///    (regression for a bottom-up run with a fresh budget of its own,
-///    which both exceeds the requested limit and under-reports), a hard
-///    step cap bounds the whole hybrid run, and the wavefront drains when
-///    the budget runs out in the middle of it.
+///  - A triggered bottom-up solve charges the hybrid's one shared budget:
+///    the recorded step count covers its node visits (regression for a
+///    bottom-up run with a fresh budget of its own, which both exceeds the
+///    requested limit and under-reports), and a hard step cap bounds the
+///    whole hybrid run.
+///  - The pure-BU wavefront's workers share one budget too: the run stops
+///    at the cap, and the wavefront drains when the budget runs out in the
+///    middle of it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -186,9 +189,6 @@ std::unique_ptr<Program> makeChainProgram(unsigned Procs, unsigned Reps) {
   return parseProgram(Src);
 }
 
-/// Wavefront workers per bottom-up solve in the shared-budget tests.
-constexpr unsigned BuWorkers = 4;
-
 /// Pruning bound for the chain program: at theta = 4 the triggered solve
 /// spends more steps than the top-down work its summaries save, so the
 /// hybrid's total exceeds TD's only if the solve's steps are on record.
@@ -198,14 +198,13 @@ TEST(AsyncBudgetTest, WorkerStepsChargeSharedBudget) {
   std::unique_ptr<Program> Prog = makeChainProgram(30, 20);
   TsContext Ctx(*Prog, Prog->symbols().intern("File"));
 
-  TsRunResult R =
-      runTypestateSwift(Ctx, 1, ChainTheta, RunLimits{}, BuWorkers);
+  TsRunResult R = runTypestateSwift(Ctx, 1, ChainTheta);
   ASSERT_FALSE(R.Timeout);
   uint64_t Visits = R.Stat.get("bu.node_visits");
   ASSERT_GT(Visits, 0u) << "no bottom-up run was triggered";
 
   // Every bottom-up node visit charges Budget::step() on the *shared*
-  // budget, so the recorded step count must cover the workers' visits.
+  // budget, so the recorded step count must cover the solve's visits.
   // A private Budget per bottom-up run would leave these visits out of
   // the recorded count entirely.
   EXPECT_GE(R.Steps, Visits);
@@ -214,7 +213,7 @@ TEST(AsyncBudgetTest, WorkerStepsChargeSharedBudget) {
   // a complete conventional top-down run (serving calls from summaries
   // removes work, never adds it), so an accounting that recorded
   // top-down steps only could never push R.Steps past Td.Steps. With the
-  // shared budget the workers' (larger) bottom-up spend is on the record
+  // shared budget the solve's (larger) bottom-up spend is on the record
   // and pushes well past it.
   TsRunResult Td = runTypestateTd(Ctx);
   ASSERT_FALSE(Td.Timeout);
@@ -227,8 +226,7 @@ TEST(AsyncBudgetTest, WorkerCannotOutspendSharedCap) {
 
   TsRunResult Td = runTypestateTd(Ctx);
   ASSERT_FALSE(Td.Timeout);
-  TsRunResult Full =
-      runTypestateSwift(Ctx, 1, ChainTheta, RunLimits{}, BuWorkers);
+  TsRunResult Full = runTypestateSwift(Ctx, 1, ChainTheta);
   ASSERT_FALSE(Full.Timeout);
   uint64_t Visits = Full.Stat.get("bu.node_visits");
   ASSERT_GT(Visits, 0u);
@@ -243,9 +241,9 @@ TEST(AsyncBudgetTest, WorkerCannotOutspendSharedCap) {
   ASSERT_GT(Full.Steps, Cap) << "chain program no longer BU-heavy enough";
   RunLimits L;
   L.MaxSteps = Cap;
-  TsRunResult R = runTypestateSwift(Ctx, 1, ChainTheta, L, BuWorkers);
+  TsRunResult R = runTypestateSwift(Ctx, 1, ChainTheta, L);
   EXPECT_GE(R.Steps, Cap); // the combined spend hit the shared cap
-  EXPECT_LE(R.Steps, Cap + 64);
+  EXPECT_LE(R.Steps, Cap + 1);
 }
 
 TEST(AsyncBudgetTest, ExhaustionRespectsSharedCap) {
@@ -260,10 +258,10 @@ TEST(AsyncBudgetTest, ExhaustionRespectsSharedCap) {
 
   RunLimits L;
   L.MaxSteps = 2'000;
-  // The budget runs out inside a triggered solve; its wavefront must
-  // still drain (no worker blocks on an SCC that will never finish) and
-  // the run come back partial.
-  TsRunResult R = runTypestateSwift(Ctx, 0, 2, L, BuWorkers);
+  // The budget runs out in the middle of a 4-worker pure-BU wavefront; it
+  // must still drain (no worker blocks on an SCC that will never finish)
+  // and the run come back partial.
+  TsRunResult R = runTypestateBu(Ctx, L, 4);
   EXPECT_TRUE(R.Timeout);
   EXPECT_GT(R.Stat.get("bu.steps"), 0u) << "no bottom-up solve ran";
   // The atomic budget may overshoot by at most one step per racing

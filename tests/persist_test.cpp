@@ -349,11 +349,11 @@ TEST(PersistFuzzTest, FiftySeedsOfMutationsNeverCrashAndClassify) {
 //===----------------------------------------------------------------------===//
 
 TEST(PersistCorpusTest, ReplaysEveryCheckedInCheckpoint) {
-  // File-name prefixes encode the expected outcome: good-*, legacy-* and
-  // async-* load; truncated-*, bitflip-*, dup-*, badfield-* (a field
-  // outside its grammar: a signed number, an out-of-range thread count,
-  // theta 0, a row that breaks what the solver asserts), badversion-*
-  // raise the matching typed error.
+  // File-name prefixes encode the expected outcome: good-*, legacy-*,
+  // async-* and threads4-* load; truncated-*, bitflip-*, dup-*,
+  // badfield-* (a field outside its grammar: a signed number, an
+  // out-of-range thread count, theta 0, a row that breaks what the solver
+  // asserts), badversion-* raise the matching typed error.
   std::vector<std::string> Files;
   for (const auto &Entry :
        std::filesystem::directory_iterator(SWIFT_CORPUS_DIR))
@@ -366,7 +366,7 @@ TEST(PersistCorpusTest, ReplaysEveryCheckedInCheckpoint) {
     std::string Stem = std::filesystem::path(Path).stem().string();
     SCOPED_TRACE(Path);
     if (Stem.rfind("good-", 0) == 0 || Stem.rfind("legacy-", 0) == 0 ||
-        Stem.rfind("async-", 0) == 0) {
+        Stem.rfind("async-", 0) == 0 || Stem.rfind("threads4-", 0) == 0) {
       ParsedCheckpoint PC = loadCheckpointFile(Path);
       EXPECT_FALSE(PC.Checkpoint.TrackedClass.empty());
       continue;
@@ -439,6 +439,24 @@ TEST(PersistCorpusTest, AsyncCheckpointResumesSynchronously) {
   EXPECT_EQ(frameCheckpointV2(Text.replace(At, 9, " async 1 ")), Bytes);
 
   // The snapshot holds only top-down state, so it resumes synchronously
+  // to the uninterrupted run's results.
+  expectResumeMatchesUninterrupted(PC);
+}
+
+TEST(PersistCorpusTest, ThreadsFourCheckpointResumesOnOneThread) {
+  // Written by swift-analyze --mode=swift --k=0 --theta=2 --threads=4
+  // --steps=100 on seed15.swiftir while triggered bottom-up solves could
+  // run on several threads, so its config line reads "threads 4". The
+  // field is still read and range-checked but no longer selects anything:
+  // re-encoding writes "threads 1" and changes nothing else.
+  std::string Bytes = corpusBytes("threads4-v2.swiftckpt");
+  ParsedCheckpoint PC = parseCheckpointFile(Bytes);
+  std::string Text = checkpointToText(*PC.Prog, PC.Checkpoint);
+  size_t At = Text.find(" threads 1\n");
+  ASSERT_NE(At, std::string::npos);
+  EXPECT_EQ(frameCheckpointV2(Text.replace(At, 11, " threads 4\n")), Bytes);
+
+  // The snapshot holds only top-down state, so it resumes on one thread
   // to the uninterrupted run's results.
   expectResumeMatchesUninterrupted(PC);
 }

@@ -36,6 +36,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -67,7 +68,7 @@ struct ToolOptions {
   std::string Mode = "td";       ///< "td", "swift", or "bu" (clients only).
   uint64_t K = 5;
   uint64_t Theta = 2;
-  unsigned Threads = 1;
+  std::optional<unsigned> Threads; ///< Pure BU's workers; unset = 1.
   uint64_t Steps = UINT64_MAX;
   double Seconds = 1e18;
   uint64_t MemMb = UINT64_MAX;
@@ -100,7 +101,9 @@ const char *usageText() {
          "                      only for client domains)\n"
          "  --k=N               SWIFT trigger threshold (default 5)\n"
          "  --theta=N           SWIFT pruning bound (default 2)\n"
-         "  --threads=N         bottom-up worker threads (default 1)\n"
+         "  --threads=N         pure-BU wavefront worker threads (default\n"
+         "                      1; only with a client domain and\n"
+         "                      --mode=bu)\n"
          "  --steps=N           step budget (default unlimited)\n"
          "  --seconds=S         wall-clock budget (default unlimited)\n"
          "  --mem-mb=N          memory-estimate cap in MiB (default\n"
@@ -149,10 +152,12 @@ bool parseArgs(int Argc, char **Argv, ToolOptions &O, std::string &Err) {
         return false;
       }
     } else if (cli::matchValueFlag(A, "--threads=", V)) {
-      if (!cli::parseUnsigned(V, O.Threads, 1, 1024)) {
+      unsigned Threads = 1;
+      if (!cli::parseUnsigned(V, Threads, 1, 1024)) {
         Err = "invalid --threads value '" + std::string(V) + "'";
         return false;
       }
+      O.Threads = Threads;
     } else if (cli::matchValueFlag(A, "--steps=", V)) {
       if (!cli::parseU64(V, O.Steps) || O.Steps == 0) {
         Err = "invalid --steps value '" + std::string(V) + "'";
@@ -235,6 +240,11 @@ bool parseArgs(int Argc, char **Argv, ToolOptions &O, std::string &Err) {
           "run without a governor)";
     return false;
   }
+  if (O.Threads && (O.Domain == "typestate" || O.Mode != "bu")) {
+    Err = "--threads is valid only with a client --domain and --mode=bu "
+          "(td and swift runs use one thread)";
+    return false;
+  }
   return true;
 }
 
@@ -292,7 +302,7 @@ int runClientDomainTool(const ToolOptions &O) {
   Limits.MaxSteps = O.Steps;
   Limits.MaxSeconds = O.Seconds;
   clients::DomainRunResult R = clients::runClientDomain(
-      O.Domain, *Prog, Mode, O.K, O.Theta, O.Threads, Limits);
+      O.Domain, *Prog, Mode, O.K, O.Theta, O.Threads.value_or(1), Limits);
 
   std::printf("%s/%s: %s in %.2fs, %llu steps\n", O.Domain.c_str(),
               O.Mode.c_str(), R.Timeout ? "PARTIAL" : "complete",
@@ -376,7 +386,6 @@ int main(int Argc, char **Argv) {
       Prog = parseProgramText(Buf.str());
       GO.Config.K = O.Mode == "td" ? NoBuTrigger : O.K;
       GO.Config.Theta = O.Mode == "td" ? 1 : O.Theta;
-      GO.Config.Threads = O.Threads;
     }
   } catch (const LoadError &E) {
     // Malformed *input*, not a usage error: name the failing file and the
